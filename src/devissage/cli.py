@@ -5,8 +5,8 @@ the fundamental-group presentation (directly, and recursively when there is
 more than one singular locus), optionally cross-verifies the assembly
 against the cover census, and writes one JSON report.
 
-Exit codes: 0 ok, 1 usage or parse error, 2 semantic/validation error,
-3 verification mismatch.
+Exit codes: 0 ok, 1 usage or parse error, 2 semantic/validation error or a
+computation that failed (such as a recursion limit), 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     except DisconnectedError as exc:
         print(f"devissage: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:  # RecursionError is a RuntimeError
         print(f"devissage: error: {exc}", file=sys.stderr)
         return 2
 

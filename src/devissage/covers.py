@@ -237,7 +237,7 @@ class _Structure:
         nf = len(self.fiber_names)
         # Scan moves per fiber, in a fixed order: generator slots first, then
         # incident edges in listed order (forward from components, backward
-        # from singulars).  The same order drives canonical relabelling.
+        # from singulars).  The same order drives the relabelling in _is_least.
         self.moves: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
         self.edges_at_fiber: list[list[int]] = [[] for _ in range(nf)]
         for f in range(nf):
@@ -247,17 +247,29 @@ class _Structure:
             self.moves[self.edge_sing[ei]].append((2, ei))
             self.edges_at_fiber[self.edge_comp[ei]].append(ei)
             self.edges_at_fiber[self.edge_sing[ei]].append(ei)
+        # The fiber each move lands in, parallel to self.moves.
+        self.move_targets = [
+            [f if kind == 0 else self.edge_sing[idx] if kind == 1
+             else self.edge_comp[idx] for kind, idx in self.moves[f]]
+            for f in range(nf)]
 
 
 def _scan(st: _Structure, d: int, emit) -> None:
-    """Enumerate connected degree-d tuples, one canonically labelled pointed
-    representative per (tuple, base point in the root fiber) pair.
+    """Enumerate connected degree-d tuples, one labelled pointed table per
+    (tuple, base point in the root fiber) pair, up to isomorphism.
 
     Points of each fiber are labelled in the order a fixed breadth-first
     scan from (root fiber, point 0) discovers them; a fresh label may only
     be introduced when every smaller label of that fiber is in use, which
     removes all per-fiber relabelling freedom.  Constraints (relators and
     edge equivariance) prune as soon as a trace is fully determined.
+
+    The search runs on an explicit stack, so its depth is bounded by
+    memory rather than by the interpreter's recursion limit.  Each frame
+    is one choice point: the queue position and move index of an unset
+    entry, the last label tried there, the target fiber's point count on
+    entry and the target fiber.  ``emit(img, lam, lpre)`` receives the
+    live tables, which the caller must copy to keep.
     """
     nf = len(st.fiber_names)
     ne = len(st.edge_ids)
@@ -302,93 +314,95 @@ def _scan(st: _Structure, d: int, emit) -> None:
             return False
         return all(equivariant(ei) for ei in st.edges_at_fiber[f])
 
-    def dfs(qi: int, mi: int) -> None:
-        if qi == len(queue):
-            if all(c == d for c in counts):
-                emit(img, lam)
+    # Every move sets fwd[p] = q and bwd[q] = p for a point p of its own
+    # fiber and a point q of the target fiber tf: a generator slot (img,
+    # pre), a forward gluing (lam, lpre) or a backward one (lpre, lam).
+    plan = []
+    for f in range(nf):
+        steps = []
+        for (kind, idx), tf in zip(st.moves[f], st.move_targets[f]):
+            if kind == 0:
+                steps.append((img[f][idx], pre[f][idx], tf, True, idx))
+            elif kind == 1:
+                steps.append((lam[idx], lpre[idx], tf, False, idx))
+            else:
+                steps.append((lpre[idx], lam[idx], tf, False, idx))
+        plan.append(steps)
+    full = nf * d  # the queue holds every labelled point exactly once
+
+    stack: list[list[int]] = []
+    qi = mi = 0
+    while True:
+        # Advance past assigned moves to the next choice point, or to the
+        # end of the queue, where a table with every fiber full is complete.
+        while qi < len(queue):
+            f, p = queue[qi]
+            steps = plan[f]
+            if mi == len(steps):
+                qi, mi = qi + 1, 0
+                continue
+            fwd, _, tf, _, _ = steps[mi]
+            if fwd[p] < 0:
+                stack.append([qi, mi, -1, counts[tf], tf])
+                break
+            mi += 1
+        else:
+            if len(queue) == full:
+                emit(img, lam, lpre)
+
+        # Undo the top frame's last choice and try its next label; pop
+        # frames whose labels are exhausted.
+        while stack:
+            frame = stack[-1]
+            fqi, fmi, q, n, tf = frame
+            f, p = queue[fqi]
+            fwd, bwd, _, is_gen, idx = plan[f][fmi]
+            if q >= 0:
+                fwd[p] = bwd[q] = -1
+                if q == n:
+                    counts[tf] = n
+                    queue.pop()
+            for q in range(q + 1, min(n + 1, d)):
+                if bwd[q] >= 0:
+                    continue
+                fwd[p], bwd[q] = q, p
+                if q == n:
+                    counts[tf] = n + 1
+                    queue.append((tf, q))
+                if gen_ok(f, idx) if is_gen else equivariant(idx):
+                    break
+                fwd[p] = bwd[q] = -1
+                if q == n:
+                    counts[tf] = n
+                    queue.pop()
+            else:
+                stack.pop()
+                continue
+            frame[2] = q
+            qi, mi = fqi, fmi + 1
+            break
+        else:
             return
-        f, p = queue[qi]
-        moves = st.moves[f]
-        if mi == len(moves):
-            dfs(qi + 1, 0)
-            return
-        kind, idx = moves[mi]
-        if kind == 0:
-            row, col = img[f][idx], pre[f][idx]
-            if row[p] >= 0:
-                dfs(qi, mi + 1)
-                return
-            n = counts[f]
-            for q in range(min(n + 1, d)):
-                if col[q] >= 0:
-                    continue
-                row[p], col[q] = q, p
-                fresh = q == n
-                if fresh:
-                    counts[f] = n + 1
-                    queue.append((f, q))
-                if gen_ok(f, idx):
-                    dfs(qi, mi + 1)
-                if fresh:
-                    counts[f] = n
-                    queue.pop()
-                row[p], col[q] = -1, -1
-        elif kind == 1:  # gluing forward, at a component point
-            row, col = lam[idx], lpre[idx]
-            if row[p] >= 0:
-                dfs(qi, mi + 1)
-                return
-            sf = st.edge_sing[idx]
-            n = counts[sf]
-            for q in range(min(n + 1, d)):
-                if col[q] >= 0:
-                    continue
-                row[p], col[q] = q, p
-                fresh = q == n
-                if fresh:
-                    counts[sf] = n + 1
-                    queue.append((sf, q))
-                if equivariant(idx):
-                    dfs(qi, mi + 1)
-                if fresh:
-                    counts[sf] = n
-                    queue.pop()
-                row[p], col[q] = -1, -1
-        else:  # gluing backward, at a singular point
-            row, col = lam[idx], lpre[idx]
-            if col[p] >= 0:
-                dfs(qi, mi + 1)
-                return
-            cf = st.edge_comp[idx]
-            n = counts[cf]
-            for q in range(min(n + 1, d)):
-                if row[q] >= 0:
-                    continue
-                row[q], col[p] = p, q
-                fresh = q == n
-                if fresh:
-                    counts[cf] = n + 1
-                    queue.append((cf, q))
-                if equivariant(idx):
-                    dfs(qi, mi + 1)
-                if fresh:
-                    counts[cf] = n
-                    queue.pop()
-                row[q], col[p] = -1, -1
-
-    dfs(0, 0)
 
 
-def _canonical(st: _Structure, d: int, img, lam):
-    """Least encoding over the d choices of base point in the root fiber.
+def _is_least(st: _Structure, d: int, img, lam, lpre) -> bool:
+    """True iff no other base point in the root fiber relabels the table to
+    a strictly smaller encoding (orderly acceptance).
 
-    Relabelling a complete tuple from each seed reuses the scan's move
-    order, so conjugate tuples produce identical least encodings.
+    A table emitted by ``_scan`` is its own relabelling from base point 0.
+    Relabelling from each other seed reuses the scan's move order, and the
+    result is compared with the table entry by entry in encoding order
+    (generator rows by fiber and slot, then gluing rows by edge), stopping
+    at the first difference.  Exactly one emitted table per tuple class is
+    least, so accepting only those deduplicates without storing anything.
     """
     nf = len(st.fiber_names)
-    ne = len(st.edge_ids)
-    best = None
-    for seed in range(d):
+    steps = []  # per fiber: the row each move reads and the fiber it lands in
+    for f in range(nf):
+        moves = zip(st.moves[f], st.move_targets[f])
+        steps.append([(img[f][idx] if kind == 0 else lam[idx] if kind == 1
+                       else lpre[idx], tf) for (kind, idx), tf in moves])
+    for seed in range(1, d):
         m = [[-1] * d for _ in range(nf)]
         inv = [[-1] * d for _ in range(nf)]
         cnt = [0] * nf
@@ -397,53 +411,65 @@ def _canonical(st: _Structure, d: int, img, lam):
         cnt[0] = 1
         order = [(0, seed)]
         for f, p in order:
-            for kind, idx in st.moves[f]:
-                if kind == 0:
-                    tf, t = f, img[f][idx][p]
-                elif kind == 1:
-                    tf, t = st.edge_sing[idx], lam[idx][p]
-                else:
-                    tf = st.edge_comp[idx]
-                    t = lam[idx].index(p)
-                if m[tf][t] < 0:
-                    m[tf][t] = cnt[tf]
-                    inv[tf][cnt[tf]] = t
-                    cnt[tf] += 1
+            for row, tf in steps[f]:
+                t = row[p]
+                mt = m[tf]
+                if mt[t] < 0:
+                    c = cnt[tf]
+                    mt[t] = c
+                    inv[tf][c] = t
+                    cnt[tf] = c + 1
                     order.append((tf, t))
-        enc: list[int] = []
-        new_img = []
-        for f in range(nf):
-            rows = []
-            for sl in range(len(st.gen_ids[f])):
-                old = img[f][sl]
-                row = tuple(m[f][old[inv[f][x]]] for x in range(d))
-                rows.append(row)
-                enc.extend(row)
-            new_img.append(rows)
-        new_lam = []
-        for ei in range(ne):
-            cf, sf = st.edge_comp[ei], st.edge_sing[ei]
-            old = lam[ei]
-            row = tuple(m[sf][old[inv[cf][x]]] for x in range(d))
-            new_lam.append(row)
-            enc.extend(row)
-        key = tuple(enc)
-        if best is None or key < best[0]:
-            best = (key, new_img, new_lam)
-    return best
+        if _relabelled_smaller(st, d, img, lam, m, inv):
+            return False
+    return True
+
+
+def _relabelled_smaller(st: _Structure, d: int, img, lam, m, inv) -> bool:
+    """True iff the table relabelled by (m, inv) encodes strictly smaller."""
+    for f, rows in enumerate(img):
+        mf, invf = m[f], inv[f]
+        for row in rows:
+            for x in range(d):
+                new, old = mf[row[invf[x]]], row[x]
+                if new != old:
+                    return new < old
+    for ei, row in enumerate(lam):
+        ms, invc = m[st.edge_sing[ei]], inv[st.edge_comp[ei]]
+        for x in range(d):
+            new, old = ms[row[invc[x]]], row[x]
+            if new != old:
+                return new < old
+    return False
+
+
+def _census(cfg: Configuration, degree: int, accept) -> _Structure:
+    """Run the scan and pass every least table to ``accept(img, lam)``."""
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    if not is_connected(build_graph(cfg)):
+        raise DisconnectedError("tuple census requires a connected configuration")
+    st = _Structure(cfg)
+
+    def emit(img, lam, lpre):
+        if _is_least(st, degree, img, lam, lpre):
+            accept(img, lam)
+
+    _scan(st, degree, emit)
+    return st
 
 
 def _tuple_from_tables(st: _Structure, d: int, img, lam) -> DescentTuple:
     component_fibers: dict[str, Fiber] = {}
     singular_fibers: dict[str, Fiber] = {}
     for f, (kind, name) in enumerate(st.fiber_names):
-        action = {g: tuple(img[f][sl]) for sl, g in enumerate(st.gen_ids[f])}
+        action = {g: img[f][sl] for sl, g in enumerate(st.gen_ids[f])}
         fiber: Fiber = (d, action)
         if kind == "c":
             component_fibers[name] = fiber
         else:
             singular_fibers[name] = fiber
-    gluings = {eid: tuple(lam[ei]) for ei, eid in enumerate(st.edge_ids)}
+    gluings = {eid: lam[ei] for ei, eid in enumerate(st.edge_ids)}
     return DescentTuple(component_fibers, singular_fibers, gluings)
 
 
@@ -451,24 +477,38 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
     """All connected descent tuples with fibers of size exactly ``degree``,
     up to isomorphism, in a deterministic order.
 
-    Over a connected configuration every fiber of a connected tuple has the
-    same size, so a single degree describes the whole cover.
+    Each tuple is returned in its least-encoding labelling, and the list is
+    sorted by that encoding.  The scan emits one labelled table per pointed
+    class; a table is kept iff it is the least relabelling over all base
+    points of the root fiber (orderly acceptance), so no dictionary of
+    canonical forms is built.  Over a connected configuration every fiber
+    of a connected tuple has the same size, so a single degree describes
+    the whole cover.
     """
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    if not is_connected(build_graph(cfg)):
-        raise DisconnectedError("tuple census requires a connected configuration")
-    st = _Structure(cfg)
-    found: dict[tuple, tuple] = {}
+    found: list[tuple[tuple[int, ...], list, list]] = []
 
-    def emit(img, lam):
-        key, new_img, new_lam = _canonical(st, degree, img, lam)
-        if key not in found:
-            found[key] = (new_img, new_lam)
+    def accept(img, lam):
+        new_img = [[tuple(row) for row in rows] for rows in img]
+        new_lam = [tuple(row) for row in lam]
+        key = tuple(x for rows in new_img for row in rows for x in row) \
+            + tuple(x for row in new_lam for x in row)
+        found.append((key, new_img, new_lam))
 
-    _scan(st, degree, emit)
-    return [_tuple_from_tables(st, degree, img, lam)
-            for _, (img, lam) in sorted(found.items())]
+    st = _census(cfg, degree, accept)
+    found.sort(key=lambda entry: entry[0])
+    return [_tuple_from_tables(st, degree, img, lam) for _, img, lam in found]
+
+
+def _count_tuples(cfg: Configuration, degree: int) -> int:
+    """``len(enumerate_tuples(cfg, degree))`` without building any tuple."""
+    total = 0
+
+    def accept(img, lam):
+        nonlocal total
+        total += 1
+
+    _census(cfg, degree, accept)
+    return total
 
 
 def _transports(cfg: Configuration, result: AssemblyResult,
@@ -587,7 +627,7 @@ def equivalence_report(cfg: Configuration, result: AssemblyResult,
     rows = []
     for d in range(1, max_degree + 1):
         rows.append(EquivalenceRow(
-            d, len(enumerate_tuples(cfg, d)),
+            d, _count_tuples(cfg, d),
             count_transitive_actions(result.presentation, d)))
     return EquivalenceReport(tuple(rows),
                              all(r.tuples == r.reps for r in rows))

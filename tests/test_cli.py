@@ -229,6 +229,21 @@ def test_exit_three_on_verification_mismatch(tmp_path, monkeypatch, capsys):
     assert not doc["verification"]["census_vs_reps"]["passed"]
 
 
+@pytest.mark.parametrize("error", [RecursionError("maximum recursion depth exceeded"),
+                                   RuntimeError("automorphism bookkeeping failed")])
+def test_exit_two_on_failed_computation(tmp_path, monkeypatch, capsys, error):
+    import devissage.cli as cli
+
+    def fail(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "assemble_recursive", fail)
+    path = write(tmp_path, "c.json", json.dumps(emit_config(line_cycle(2))))
+    assert main([path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"devissage: error: {error}\n"
+
+
 def test_cli_discreteness_flag(tmp_path):
     cfg_path = write(tmp_path, "c.json", NODAL)
     verdicts = write(tmp_path, "v.json", json.dumps({"X1": "not-discrete"}))

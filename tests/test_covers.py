@@ -7,15 +7,18 @@ existed.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from devissage import (DescentTuple, GenId, TupleIso, assemble_direct,
-                       enumerate_homs, enumerate_tuples,
-                       equivalence_report, hom, is_transitive,
+                       covers, enumerate_homs, enumerate_tuples,
+                       equivalence_report, hom, hom_count, is_transitive,
                        is_tuple_iso, rep_of_tuple, symmetric,
                        tuple_components, tuple_of_rep, validate_tuple,
                        verify_hom)
-from devissage.covers import _transports
+from devissage.covers import _Structure, _scan, _transports
 from devissage.corpus import (bouquet, chain, equivariant_z2, full_corpus,
                               line_cycle, nodal_cubic, s3_nodal,
                               squared_interface, z2_nodal)
@@ -139,6 +142,56 @@ def test_census_members_are_valid_connected_and_distinct():
                 seen.add(key)
 
 
+def _hall_subgroup_counts(presentation, max_degree: int) -> list[int]:
+    """Index-n subgroup counts a_n = h_n/(n-1)! - sum_{k<n} h_{n-k}/(n-k)! a_k
+    with h_n = |Hom(G, S_n)| (Hall 1949)."""
+    h = [1] + [hom_count(presentation, symmetric(n))
+               for n in range(1, max_degree + 1)]
+    a = [Fraction(0)]
+    for n in range(1, max_degree + 1):
+        a.append(Fraction(h[n], factorial(n - 1))
+                 - sum(Fraction(h[n - k], factorial(n - k)) * a[k]
+                       for k in range(1, n)))
+    assert all(x.denominator == 1 for x in a)
+    return [int(x) for x in a[1:]]
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("bouquet3", [1, 3, 13, 71, 461]),
+    ("bouquet4", [1, 7, 97, 2143]),
+    ("z2_double_bouquet", [1, 7, 61, 847]),
+    ("z2_nodal", [1, 3, 7, 23]),
+    ("s3_nodal", [1, 3, 25, 95]),
+    ("equivariant_z2", [1, 3, 1, 3]),
+    ("squared_interface", [1, 3, 7, 31]),
+])
+def test_scan_emits_one_table_per_subgroup_halls_formula(name, expected):
+    # Each pointed class of transitive actions is an index-d subgroup, so a
+    # scan that emitted any pointed class twice would overshoot Hall's count
+    # even though orderly acceptance would still keep one table per class.
+    cfg = full_corpus()[name]
+    pres = assemble_direct(cfg).presentation
+    assert _hall_subgroup_counts(pres, len(expected)) == expected
+    st = _Structure(cfg)
+    emitted = []
+    for d in range(1, len(expected) + 1):
+        tables = 0
+
+        def count(img, lam, lpre):
+            nonlocal tables
+            tables += 1
+
+        _scan(st, d, count)
+        emitted.append(tables)
+    assert emitted == expected
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_census_of_long_cycle_does_not_recurse(d):
+    # the scan's depth grows with the number of fibers (4000 points here)
+    assert len(enumerate_tuples(line_cycle(1000), d)) == 1
+
+
 def test_census_deterministic():
     a = enumerate_tuples(bouquet(3), 3)
     b = enumerate_tuples(bouquet(3), 3)
@@ -256,6 +309,20 @@ def test_equivalence_report_nodal_cubic():
     assert rep.passed
     assert [(r.degree, r.tuples, r.reps) for r in rep.rows] == \
         [(1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 1, 1)]
+
+
+def test_equivalence_report_counts_without_building_tuples(monkeypatch):
+    corpus = sorted(full_corpus().items())
+    expected = {name: [len(enumerate_tuples(cfg, d)) for d in (1, 2, 3)]
+                for name, cfg in corpus}
+
+    def no_tuples(*args):
+        raise AssertionError("equivalence_report built a DescentTuple")
+
+    monkeypatch.setattr(covers, "_tuple_from_tables", no_tuples)
+    for name, cfg in corpus:
+        rep = equivalence_report(cfg, assemble_direct(cfg), 3)
+        assert [r.tuples for r in rep.rows] == expected[name], name
 
 
 def test_equivalence_report_detects_wrong_presentation():
