@@ -21,11 +21,11 @@ from .vankampen import (Interface, VKInput, IsoWitness, ConjugatorGroup,
                         van_kampen_forms, amalgamated_coproduct)
 from .configuration import (ComponentNode, SingularNode, Edge, Configuration,
                             IncidenceGraph, DisconnectedError, validate_config,
-                            build_graph, is_connected, free_rank, spanning_tree)
+                            build_graph, is_connected, free_rank, spanning_tree,
+                            subconfiguration)
 from .assembly import (Origin, AssemblyResult, free_edge_generator,
-                       assemble_direct, curve_assembly, SingularBlock,
-                       split_blocks, block_order, assemble_recursive,
-                       subconfiguration)
+                       assemble_direct, SingularBlock, split_blocks,
+                       block_order, assemble_recursive)
 from .discreteness import (Verdict, combine, NodeVerdict, DiscretenessVerdict,
                            discreteness_verdict, Leaf, Coproduct, Quotient,
                            fold_verdicts)

@@ -6,9 +6,9 @@ by hom fingerprints and by the cover census in ``covers``):
 * ``assemble_direct`` - one spanning-tree pass: every cotree edge contributes
   a free conjugator, every edge k imposes psi_k(a) = x_k^-1 phi_k(a) x_k with
   x_k trivial on tree edges;
-* ``assemble_recursive`` - split off one singular-centered block at a time
-  and recombine with the van Kampen construction, amalgamating over the
-  groups of the components the two sides share.
+* ``assemble_recursive`` - add one singular-centered block at a time, in a
+  fixed block order, and recombine with the van Kampen construction,
+  amalgamating over the groups of the components the two sides share.
 
 Base-point and path choices are realized by the spanning tree: tree edges
 are the chosen paths (conjugator = identity), cotree edges get free
@@ -18,10 +18,12 @@ isomorphism, which the test suite checks through fingerprints.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .configuration import (ComponentNode, Configuration, DisconnectedError,
-                            Edge, build_graph, is_connected, spanning_tree)
+                            Edge, build_graph, is_connected, spanning_tree,
+                            subconfiguration)
 from .homs import hom
 from .presentations import Presentation, rename_namespaces
 from .vankampen import Interface, VKInput, van_kampen
@@ -32,12 +34,10 @@ __all__ = [
     "AssemblyResult",
     "free_edge_generator",
     "assemble_direct",
-    "curve_assembly",
     "SingularBlock",
     "split_blocks",
     "block_order",
     "assemble_recursive",
-    "subconfiguration",
 ]
 
 
@@ -55,7 +55,7 @@ class AssemblyResult:
     """An assembled presentation plus provenance.
 
     ``tree``/``root`` describe the spanning tree used and are set only for
-    the direct and curve methods; the recursive method has no single tree
+    the direct method; the recursive method has no single tree
     (its extra conjugators come from block interfaces instead).  For
     tree-based results, cotree edges correspond one-to-one with the free
     edge generators and tree edges carry the trivial word.
@@ -77,11 +77,6 @@ def free_edge_generator(edge_id: str) -> GenId:
     return GenId(f"x.{edge_id}", 0)
 
 
-def _connected_or_raise(cfg: Configuration) -> None:
-    if not is_connected(build_graph(cfg)):
-        raise DisconnectedError("assembly requires a connected configuration")
-
-
 def assemble_direct(cfg: Configuration, root: str | None = None) -> AssemblyResult:
     """Spanning-tree assembly.
 
@@ -90,7 +85,6 @@ def assemble_direct(cfg: Configuration, root: str | None = None) -> AssemblyResu
     every edge k and every generator a of its edge group, the relator
     psi_k(a)^-1 x_k^-1 phi_k(a) x_k  (x_k empty on tree edges).
     """
-    _connected_or_raise(cfg)
     tree, cotree = spanning_tree(build_graph(cfg), root)
     if root is None:
         root = min(c.id for c in cfg.components)
@@ -124,38 +118,6 @@ def assemble_direct(cfg: Configuration, root: str | None = None) -> AssemblyResu
     return AssemblyResult(pres, dictionary, "direct", tree=tree, root=root)
 
 
-def curve_assembly(cfg: Configuration, root: str | None = None) -> AssemblyResult:
-    """Fast path when all singular and edge groups are trivial.
-
-    The result is the free product of the component groups with a free
-    group of rank equal to the configuration's free rank; no conjugation
-    relations are needed because there is nothing to conjugate.
-    """
-    for s in cfg.singulars:
-        if s.group.generators:
-            raise ValueError(f"singular {s.id} has a nontrivial group")
-    for e in cfg.edges:
-        if e.group.generators:
-            raise ValueError(f"edge {e.id} has a nontrivial group")
-    _connected_or_raise(cfg)
-    tree, cotree = spanning_tree(build_graph(cfg), root)
-    if root is None:
-        root = min(c.id for c in cfg.components)
-    gens: list[GenId] = []
-    rels: list[Word] = []
-    dictionary: dict[GenId, Origin] = {}
-    for c in cfg.components:
-        gens.extend(c.group.generators)
-        rels.extend(c.group.relations)
-        dictionary.update({g: Origin("component", c.id) for g in c.group.generators})
-    for eid in cotree:
-        x = free_edge_generator(eid)
-        gens.append(x)
-        dictionary[x] = Origin("edge", eid)
-    pres = Presentation(tuple(gens), tuple(rels))
-    return AssemblyResult(pres, dictionary, "curve-fast-path", tree=tree, root=root)
-
-
 @dataclass(frozen=True)
 class SingularBlock:
     """One singular locus with its incident edges and adjacent components."""
@@ -172,19 +134,45 @@ def split_blocks(cfg: Configuration) -> tuple[SingularBlock, ...]:
     adjacent to it.  Each block is connected (it is a star around its
     singular) and contains no other singular; both facts are asserted.
     """
-    _connected_or_raise(cfg)
+    if not is_connected(build_graph(cfg)):
+        raise DisconnectedError("assembly requires a connected configuration")
     if not cfg.singulars:
         raise ValueError("no singulars: the configuration is a single regular component")
     blocks = []
     for s in cfg.singulars:
-        edge_ids = tuple(e.id for e in cfg.edges if e.singular == s.id)
-        comps = tuple(sorted({e.component for e in cfg.edges if e.singular == s.id}))
-        if not edge_ids:
-            raise ValueError(f"singular {s.id} has no incident edges")
         sub = subconfiguration(cfg, [s.id])
+        if not sub.edges:
+            raise ValueError(f"singular {s.id} has no incident edges")
         assert is_connected(build_graph(sub)) and len(sub.singulars) == 1
-        blocks.append(SingularBlock(s.id, comps, edge_ids))
+        blocks.append(SingularBlock(s.id,
+                                    tuple(sorted({e.component for e in sub.edges})),
+                                    tuple(e.id for e in sub.edges)))
     return tuple(blocks)
+
+
+def _ordered_blocks(cfg: Configuration) -> list[SingularBlock]:
+    """``split_blocks`` in ``block_order``; a heap holds the blocks that
+    meet the covered components, so no step rescans the others."""
+    blocks = {b.singular: b for b in split_blocks(cfg)}
+    touching: dict[str, list[str]] = {}
+    for b in blocks.values():
+        for cid in b.components:
+            touching.setdefault(cid, []).append(b.singular)
+    first = min(blocks)
+    reached = {first}
+    heap = [first]
+    order = []
+    while heap:
+        block = blocks[heapq.heappop(heap)]
+        order.append(block)
+        for cid in block.components:
+            for sid in touching[cid]:
+                if sid not in reached:
+                    reached.add(sid)
+                    heapq.heappush(heap, sid)
+    if len(order) != len(blocks):
+        raise DisconnectedError("block union never becomes connected")
+    return order
 
 
 def block_order(cfg: Configuration) -> tuple[str, ...]:
@@ -194,33 +182,7 @@ def block_order(cfg: Configuration) -> tuple[str, ...]:
     whose component set meets the components covered so far.  Connectivity
     of the configuration guarantees the order completes.
     """
-    blocks = {b.singular: b for b in split_blocks(cfg)}
-    remaining = sorted(blocks)
-    order = [remaining.pop(0)]
-    covered = set(blocks[order[0]].components)
-    while remaining:
-        for sid in remaining:
-            if covered & set(blocks[sid].components):
-                order.append(sid)
-                remaining.remove(sid)
-                covered |= set(blocks[sid].components)
-                break
-        else:
-            raise DisconnectedError("block union never becomes connected")
-    return tuple(order)
-
-
-def subconfiguration(cfg: Configuration, singular_ids) -> Configuration:
-    """The sub-configuration induced by a set of singulars: those singulars,
-    their incident edges, and every component adjacent to one of them."""
-    wanted = set(singular_ids)
-    edges = tuple(e for e in cfg.edges if e.singular in wanted)
-    comp_ids = {e.component for e in edges}
-    return Configuration(
-        tuple(c for c in cfg.components if c.id in comp_ids),
-        tuple(s for s in cfg.singulars if s.id in wanted),
-        edges,
-    )
+    return tuple(b.singular for b in _ordered_blocks(cfg))
 
 
 def _rename_components(cfg: Configuration, comp_ids: set[str],
@@ -255,52 +217,50 @@ def assemble_recursive(cfg: Configuration) -> AssemblyResult:
     """Block-splitting assembly.
 
     With one singular (or none) this delegates to the direct route.
-    Otherwise the last block of ``block_order`` is split off (the union of
-    the rest stays connected), both sides are assembled recursively, and the
-    two presentations are recombined with the van Kampen construction.  The
+    Otherwise the blocks are folded in ``block_order``: each block is
+    assembled directly and recombined with the blocks before it by the van
+    Kampen construction (the nesting of splitting off the last block and
+    recursing, since the greedy order of a prefix is that prefix).  The
     interfaces are the groups of the shared components: in the descent-tuple
     model the fiber over a shared component carries an action of exactly
-    that group on both sides.  The split-off side gets its shared component
+    that group on both sides.  Each added block gets its shared component
     generators renamed (suffix ``@block``), so the result presents the same
     group with extra, conjugation-identified copies of those generators.
     """
-    _connected_or_raise(cfg)
     if len(cfg.singulars) <= 1:
         return assemble_direct(cfg)
-    order = block_order(cfg)
-    last = order[-1]
-    rest = [s.id for s in cfg.singulars if s.id != last]
+    first, *rest = _ordered_blocks(cfg)
+    start = assemble_direct(subconfiguration(cfg, [first.singular]))
+    combined = start.presentation
+    dictionary = dict(start.dictionary)
+    covered = set(first.components)
+    for block in rest:
+        last = block.singular
+        shared = sorted(covered.intersection(block.components))
+        assert shared, "block order guarantees each block meets the ones before it"
+        right = assemble_direct(_rename_components(
+            subconfiguration(cfg, [last]), set(shared), f"@{last}"))
 
-    left_cfg = subconfiguration(cfg, rest)
-    right_cfg = subconfiguration(cfg, [last])
-    shared = sorted({c.id for c in left_cfg.components}
-                    & {c.id for c in right_cfg.components})
-    assert shared, "block order guarantees the split-off block meets the rest"
-    right_cfg = _rename_components(right_cfg, set(shared), f"@{last}")
+        interfaces = []
+        for cid in shared:
+            group = cfg.component(cid).group
+            iface_group, mapping = rename_namespaces(group, lambda ns: f"{ns}#{last}")
+            psi = hom(iface_group, combined,
+                      {mapping[g]: gen(g) for g in group.generators})
+            phi = hom(iface_group, right.presentation,
+                      {mapping[g]: gen(GenId(f"{g.namespace}@{last}", g.index))
+                       for g in group.generators})
+            interfaces.append(Interface(iface_group, psi, phi))
 
-    left = assemble_recursive(left_cfg)
-    right = assemble_recursive(right_cfg)
+        combined = van_kampen(
+            VKInput(combined, right.presentation, tuple(interfaces)),
+            conj_namespace=f"F@{last}")
 
-    interfaces = []
-    for cid in shared:
-        group = cfg.component(cid).group
-        iface_group, mapping = rename_namespaces(group, lambda ns: f"{ns}#{last}")
-        psi = hom(iface_group, left.presentation,
-                  {mapping[g]: gen(g) for g in group.generators})
-        phi = hom(iface_group, right.presentation,
-                  {mapping[g]: gen(GenId(f"{g.namespace}@{last}", g.index))
-                   for g in group.generators})
-        interfaces.append(Interface(iface_group, psi, phi))
-
-    combined = van_kampen(
-        VKInput(left.presentation, right.presentation, tuple(interfaces)),
-        conj_namespace=f"F@{last}")
-
-    dictionary = dict(left.dictionary)
-    for g, origin in right.dictionary.items():
-        if origin.kind == "component" and origin.node in shared and not origin.detail:
-            origin = Origin("component", origin.node, detail=f"copy@{last}")
-        dictionary[g] = origin
-    for i, cid in enumerate(shared[1:], start=2):
-        dictionary[GenId(f"F@{last}", i)] = Origin("conjugator", cid, detail=last)
+        for g, origin in right.dictionary.items():
+            if origin.kind == "component" and origin.node in shared and not origin.detail:
+                origin = Origin("component", origin.node, detail=f"copy@{last}")
+            dictionary[g] = origin
+        for i, cid in enumerate(shared[1:], start=2):
+            dictionary[GenId(f"F@{last}", i)] = Origin("conjugator", cid, detail=last)
+        covered.update(block.components)
     return AssemblyResult(combined, dictionary, "recursive")

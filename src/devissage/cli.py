@@ -16,7 +16,7 @@ import re
 import sys
 import time
 
-from .assembly import assemble_direct, assemble_recursive, curve_assembly
+from .assembly import assemble_direct, assemble_recursive
 from .configuration import (Configuration, DisconnectedError, build_graph,
                             free_rank, is_connected, validate_config)
 from .covers import equivalence_report
@@ -113,11 +113,6 @@ def run(cfg: Configuration, *, max_degree: int = 4, verify: bool = False,
     if m >= 2 and method in ("recursive", "both"):
         results["recursive"] = phase("assemble_recursive",
                                      lambda: assemble_recursive(cfg))
-    all_trivial = not any(g.group.generators
-                          for g in (*cfg.components, *cfg.singulars, *cfg.edges))
-    if all_trivial:
-        results["curve_fast_path"] = phase("curve_assembly",
-                                           lambda: curve_assembly(cfg))
 
     report["assemblies"] = {name: emit_assembly(res)
                             for name, res in results.items()}
@@ -188,7 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.discreteness, encoding="utf-8") as fh:
                 restrictions = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(restrictions, dict):
+                raise ValueError("expected an object of node ids to verdicts")
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"devissage: error reading verdicts: {exc}", file=sys.stderr)
             return 1
 

@@ -29,6 +29,7 @@ __all__ = [
     "is_connected",
     "free_rank",
     "spanning_tree",
+    "subconfiguration",
 ]
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
@@ -66,23 +67,43 @@ class Configuration:
     singulars: tuple[SingularNode, ...]
     edges: tuple[Edge, ...]
 
+    @cached_property
+    def _index(self) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
+        """Position of each component, singular and edge id in its tuple,
+        built once; the first of a duplicated id wins."""
+        return tuple({x.id: i for i, x in reversed(list(enumerate(nodes)))}
+                     for nodes in (self.components, self.singulars, self.edges))
+
+    @cached_property
+    def _incident(self) -> dict[str, list[int]]:
+        """Singular id -> positions of its incident edges, in listed order."""
+        incident: dict[str, list[int]] = {}
+        for i, e in enumerate(self.edges):
+            incident.setdefault(e.singular, []).append(i)
+        return incident
+
     def component(self, node_id: str) -> ComponentNode:
-        for c in self.components:
-            if c.id == node_id:
-                return c
-        raise KeyError(node_id)
+        return self.components[self._index[0][node_id]]
 
     def singular(self, node_id: str) -> SingularNode:
-        for s in self.singulars:
-            if s.id == node_id:
-                return s
-        raise KeyError(node_id)
+        return self.singulars[self._index[1][node_id]]
 
     def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
+        return self.edges[self._index[2][edge_id]]
+
+
+def subconfiguration(cfg: Configuration, singular_ids) -> Configuration:
+    """The sub-configuration induced by a set of singulars: those singulars,
+    their incident edges, and every component adjacent to one of them, in
+    listed order, read from the index at the cost of the result's size."""
+    comp_at, sing_at, _ = cfg._index
+    wanted = set(singular_ids)
+    edges = tuple(cfg.edges[i] for i in sorted(
+        i for s in wanted for i in cfg._incident.get(s, ())))
+    comps = sorted(comp_at[c] for c in {e.component for e in edges} if c in comp_at)
+    sings = sorted(sing_at[s] for s in wanted if s in sing_at)
+    return Configuration(tuple(cfg.components[i] for i in comps),
+                         tuple(cfg.singulars[i] for i in sings), edges)
 
 
 def validate_config(cfg: Configuration) -> list[str]:
@@ -158,6 +179,16 @@ class IncidenceGraph:
     def vertex_count(self) -> int:
         return len(self.component_ids) + len(self.singular_ids)
 
+    @cached_property
+    def adjacency(self) -> dict[tuple[str, str], list[tuple[str, tuple[str, str]]]]:
+        """Vertex -> [(edge id, other vertex)] in listed edge order, built
+        once; vertices are ("c", component id) and ("s", singular id)."""
+        adjacency: dict[tuple[str, str], list[tuple[str, tuple[str, str]]]] = {}
+        for eid, cid, sid in self.edges:
+            adjacency.setdefault(("c", cid), []).append((eid, ("s", sid)))
+            adjacency.setdefault(("s", sid), []).append((eid, ("c", cid)))
+        return adjacency
+
     def betti(self) -> int:
         """First Betti number E - V + 1 of a connected graph."""
         return len(self.edges) - self.vertex_count + 1
@@ -177,15 +208,8 @@ def _bfs(graph: IncidenceGraph, root: str) -> tuple[list[str], set[tuple[str, st
     visited = {start}
     queue = [start]
     tree: list[str] = []
-    while queue:
-        kind, vid = queue.pop(0)
-        for eid, cid, sid in graph.edges:
-            if kind == "c" and cid == vid:
-                other = ("s", sid)
-            elif kind == "s" and sid == vid:
-                other = ("c", cid)
-            else:
-                continue
+    for vertex in queue:  # the queue grows while it is read
+        for eid, other in graph.adjacency.get(vertex, ()):
             if other not in visited:
                 visited.add(other)
                 tree.append(eid)

@@ -513,24 +513,19 @@ def _count_tuples(cfg: Configuration, degree: int) -> int:
 
 def _transports(cfg: Configuration, result: AssemblyResult,
                 t: DescentTuple, degree: int) -> dict[tuple[str, str], Perm]:
-    """Tree-path transport maps root fiber -> each fiber."""
-    if result.tree is None or result.root is None:
-        raise ValueError("transports need a tree-based assembly result")
-    tree = set(result.tree)
+    """Tree-path transport maps root fiber -> each fiber.
+
+    The tree edges come in discovery order, so the endpoint an edge was
+    discovered from already has its transport when the edge is reached.
+    """
     tau: dict[tuple[str, str], Perm] = {("c", result.root): identity_perm(degree)}
-    frontier = [("c", result.root)]
-    while frontier:
-        kind, vid = frontier.pop(0)
-        for e in cfg.edges:
-            if e.id not in tree:
-                continue
-            lam = t.gluings[e.id]
-            if kind == "c" and e.component == vid and ("s", e.singular) not in tau:
-                tau[("s", e.singular)] = compose(lam, tau[("c", vid)])
-                frontier.append(("s", e.singular))
-            elif kind == "s" and e.singular == vid and ("c", e.component) not in tau:
-                tau[("c", e.component)] = compose(inverse_perm(lam), tau[("s", vid)])
-                frontier.append(("c", e.component))
+    for eid in result.tree:
+        e = cfg.edge(eid)
+        lam = t.gluings[eid]
+        if ("c", e.component) in tau:
+            tau[("s", e.singular)] = compose(lam, tau[("c", e.component)])
+        else:
+            tau[("c", e.component)] = compose(inverse_perm(lam), tau[("s", e.singular)])
     return tau
 
 
@@ -538,12 +533,15 @@ def rep_of_tuple(cfg: Configuration, result: AssemblyResult,
                  t: DescentTuple) -> Hom:
     """The action of the assembled presentation on the root-component fiber.
 
+    ``result`` must be tree-based, that is, come from ``assemble_direct``.
     Node generators act through tree-edge transport; the free generator of
     a cotree edge acts by the gluing composite around its fundamental cycle.
     Relators are verified to act trivially; a violation means the assembly
     and the census disagree on conventions, which is a bug, so it raises
     RuntimeError rather than returning a report.
     """
+    if result.tree is None or result.root is None:
+        raise ValueError("transports need a tree-based assembly result")
     degree = t.component_fibers[result.root][0]
     tau = _transports(cfg, result, t, degree)
 
@@ -579,9 +577,10 @@ def rep_of_tuple(cfg: Configuration, result: AssemblyResult,
 
 def tuple_of_rep(cfg: Configuration, result: AssemblyResult,
                  rep: Hom) -> DescentTuple:
-    """Inverse of ``rep_of_tuple`` up to isomorphism: every fiber is a copy
-    of the representation space, tree gluings are identities, and each
-    cotree gluing realizes its free generator's image."""
+    """Inverse of ``rep_of_tuple`` up to isomorphism, for a tree-based
+    (``assemble_direct``) result: every fiber is a copy of the
+    representation space, tree gluings are identities, and each cotree
+    gluing realizes its free generator's image."""
     if result.tree is None:
         raise ValueError("need a tree-based assembly result")
     if rep.source != result.presentation:

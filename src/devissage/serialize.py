@@ -70,6 +70,22 @@ def _require_keys(obj: Mapping[str, Any], where: str,
             raise ConfigParseError(f"{where}: missing field {key!r}")
 
 
+def _require_list(value: Any, where: str, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigParseError(f"{where}: {what} must be an array")
+    return value
+
+
+def _require_str(obj: Mapping[str, Any], key: str, where: str) -> str:
+    if not isinstance(obj[key], str):
+        raise ConfigParseError(f"{where}: {key} must be a string")
+    return obj[key]
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_group(spec: Any, namespace: str, where: str) -> tuple[Presentation, dict[str, GenId]]:
     """Returns the presentation plus the name -> generator map."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -80,16 +96,15 @@ def _parse_group(spec: Any, namespace: str, where: str) -> tuple[Presentation, d
         return trivial_presentation(), {}
     if kind == "presentation":
         _require_keys(spec, where, ("kind", "generators"), ("relations",))
-        names = spec["generators"]
-        if not isinstance(names, list) or len(set(names)) != len(names):
-            raise ConfigParseError(f"{where}: generators must be a list of distinct names")
-        table: dict[str, GenId] = {}
-        for i, name in enumerate(names):
+        names = _require_list(spec["generators"], where, "generators")
+        for name in names:
             if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise ConfigParseError(f"{where}: bad generator name {name!r}")
-            table[name] = GenId(namespace, i)
+        if len(set(names)) != len(names):
+            raise ConfigParseError(f"{where}: generators must be a list of distinct names")
+        table = {name: GenId(namespace, i) for i, name in enumerate(names)}
         relations = []
-        for j, rel in enumerate(spec.get("relations", [])):
+        for j, rel in enumerate(_require_list(spec.get("relations", []), where, "relations")):
             relations.append(_parse_word(rel, table, f"{where}: relation #{j}"))
         return Presentation(tuple(table.values()), tuple(relations)), table
     if kind == "finite":
@@ -115,12 +130,12 @@ def _parse_word(rel: Any, table: Mapping[str, GenId], where: str) -> Word:
 def _finite_group(degree: Any, gen_specs: Any, namespace: str,
                   where: str) -> tuple[Presentation, dict[str, GenId]]:
     """Cayley presentation of the group generated by explicit permutations."""
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         raise ConfigParseError(f"{where}: degree must be a positive integer")
     perms: list[Perm] = []
-    for spec in gen_specs:
+    for spec in _require_list(gen_specs, where, "generators"):
         if (not isinstance(spec, list) or len(spec) != degree
-                or sorted(spec) != list(range(degree))):
+                or not all(map(_is_int, spec)) or sorted(spec) != list(range(degree))):
             raise ConfigParseError(f"{where}: {spec!r} is not a permutation of 0..{degree - 1}")
         perms.append(tuple(spec))
     elements = sorted(mulclose(perms, degree))
@@ -167,44 +182,42 @@ def parse_config_text(text: str, source: str = "<config>") -> Configuration:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigParseError(f"{source}: arrays or objects nested too deeply") from exc
     _require_keys(doc, source, ("components", "singulars", "edges"))
 
-    components = []
-    comp_tables: dict[str, tuple[Presentation, dict[str, GenId]]] = {}
-    for i, item in enumerate(doc["components"]):
-        where = f"{source}: components[{i}]"
-        _require_keys(item, where, ("id", "group"))
-        group, table = _parse_group(item["group"], item["id"], where)
-        components.append(ComponentNode(item["id"], group))
-        comp_tables[item["id"]] = (group, table)
-
-    singulars = []
-    sing_tables: dict[str, tuple[Presentation, dict[str, GenId]]] = {}
-    for i, item in enumerate(doc["singulars"]):
-        where = f"{source}: singulars[{i}]"
-        _require_keys(item, where, ("id", "group"))
-        group, table = _parse_group(item["group"], item["id"], where)
-        singulars.append(SingularNode(item["id"], group))
-        sing_tables[item["id"]] = (group, table)
+    nodes: dict[str, list] = {}
+    tables: dict[str, dict[str, tuple[Presentation, dict[str, GenId]]]] = {}
+    for key, node in (("components", ComponentNode), ("singulars", SingularNode)):
+        nodes[key], tables[key] = [], {}
+        for i, item in enumerate(_require_list(doc[key], source, key)):
+            where = f"{source}: {key}[{i}]"
+            _require_keys(item, where, ("id", "group"))
+            nid = _require_str(item, "id", where)
+            group, table = _parse_group(item["group"], nid, where)
+            nodes[key].append(node(nid, group))
+            tables[key][nid] = (group, table)
+    comp_tables, sing_tables = tables["components"], tables["singulars"]
 
     edges = []
-    for i, item in enumerate(doc["edges"]):
+    for i, item in enumerate(_require_list(doc["edges"], source, "edges")):
         where = f"{source}: edges[{i}]"
         _require_keys(item, where, ("id", "component", "singular"),
                       ("group", "psi", "phi"))
-        group, table = _parse_group(item.get("group", {"kind": "trivial"}),
-                                    item["id"], where)
-        if item["component"] not in comp_tables:
-            raise ConfigSemanticError(f"{where}: unknown component {item['component']!r}")
-        if item["singular"] not in sing_tables:
-            raise ConfigSemanticError(f"{where}: unknown singular {item['singular']!r}")
-        ctarget, ctable = comp_tables[item["component"]]
-        starget, stable = sing_tables[item["singular"]]
+        eid, cid, sid = (_require_str(item, key, where)
+                         for key in ("id", "component", "singular"))
+        group, table = _parse_group(item.get("group", {"kind": "trivial"}), eid, where)
+        if cid not in comp_tables:
+            raise ConfigSemanticError(f"{where}: unknown component {cid!r}")
+        if sid not in sing_tables:
+            raise ConfigSemanticError(f"{where}: unknown singular {sid!r}")
+        ctarget, ctable = comp_tables[cid]
+        starget, stable = sing_tables[sid]
         psi = _parse_hom(item.get("psi"), group, table, ctarget, ctable, f"{where}: psi")
         phi = _parse_hom(item.get("phi"), group, table, starget, stable, f"{where}: phi")
-        edges.append(Edge(item["id"], item["component"], item["singular"],
-                          group, psi, phi))
-    return Configuration(tuple(components), tuple(singulars), tuple(edges))
+        edges.append(Edge(eid, cid, sid, group, psi, phi))
+    return Configuration(tuple(nodes["components"]), tuple(nodes["singulars"]),
+                         tuple(edges))
 
 
 def parse_config(path: str) -> Configuration:

@@ -1,11 +1,13 @@
-"""Direct, recursive, and curve-path assembly."""
+"""Direct and recursive assembly, with their reports pinned byte for byte."""
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
 from devissage import (DisconnectedError, GenId, assemble_direct,
-                       assemble_recursive, block_order, curve_assembly, cyclic,
+                       assemble_recursive, block_order, cyclic,
                        cyclic_presentation, fingerprint, free_edge_generator,
                        free_rank, hom_count, split_blocks, subconfiguration,
                        symmetric, word)
@@ -13,6 +15,7 @@ from devissage.corpus import (all_trivial_corpus, bouquet, chain,
                               double_bouquet, equivariant_z2, full_corpus,
                               line_cycle, nodal_cubic, z2_chain,
                               z2_double_bouquet, z2_nodal)
+from devissage.serialize import emit_assembly, render_report
 
 PROBES = (symmetric(2), cyclic(3), symmetric(3), cyclic(4))
 
@@ -178,26 +181,6 @@ def test_recursive_dictionary_marks_copies_and_conjugators():
     assert res.tree is None
 
 
-# --- curve fast path ---------------------------------------------------------
-
-@pytest.mark.parametrize("name,cfg", sorted(all_trivial_corpus().items()))
-def test_curve_path_equals_direct_on_trivial_configs(name, cfg):
-    fast = curve_assembly(cfg)
-    direct = assemble_direct(cfg)
-    assert fast.presentation == direct.presentation
-    assert fast.method == "curve-fast-path"
-
-
-def test_curve_path_keeps_component_groups():
-    res = curve_assembly(z2_nodal())
-    assert res.presentation == assemble_direct(z2_nodal()).presentation
-
-
-def test_curve_path_rejects_nontrivial_singular_or_edge_groups():
-    with pytest.raises(ValueError):
-        curve_assembly(equivariant_z2())
-
-
 # --- method agreement over the full corpus (cheap probes only) ---------------
 
 @pytest.mark.parametrize("name,cfg", sorted(full_corpus().items()))
@@ -207,3 +190,76 @@ def test_methods_agree_everywhere(name, cfg):
     recursive = assemble_recursive(cfg)
     assert fingerprint(direct.presentation, small) == \
         fingerprint(recursive.presentation, small)
+
+
+# --- golden reports ------------------------------------------------------------
+
+# Frozen sha256 digests of render_report(emit_assembly(...)) per route: a
+# reordered generator, relator or dictionary entry changes one, which the
+# fingerprint comparisons above would not notice.
+GOLDEN = {
+    ("bouquet3", "direct"): "d309e50fa1f5c8041edf90a6bbd306dd2d8779730fc61cd2e226da180b2ae039",
+    ("bouquet3", "recursive"): "d309e50fa1f5c8041edf90a6bbd306dd2d8779730fc61cd2e226da180b2ae039",
+    ("bouquet4", "direct"): "5f123d3d0a450bf962da5a6ce4c1d16de7fe7c57b667a0a5756e080ee906cadc",
+    ("bouquet4", "recursive"): "5f123d3d0a450bf962da5a6ce4c1d16de7fe7c57b667a0a5756e080ee906cadc",
+    ("chain3", "direct"): "a83ae0eb539f505a14532fb766053325d532e2a3f17165f71016ba0e02b5ccc0",
+    ("chain3", "recursive"): "bae3ec9cbe11c8bf65e592fdea9a06053d336121300d192af2097de4971b7148",
+    ("cycle2", "direct"): "53225765b05e1ac07f788d4a7c77a0bea6dfa2871952b0e4fa28b4af6de8e826",
+    ("cycle2", "recursive"): "2e94d6c7b097bdf83cceb2c3e0b84d98247fe104d52758983129d414f9f0f9f6",
+    ("cycle3", "direct"): "d064e84ca81e0f5cfe7bbfb393676be9f1c1c13087414430561ea9e13af6ae8a",
+    ("cycle3", "recursive"): "8a8fe77d03adeca1c800440e948f1dc05f1cf084fcb18fd5d53f08bb53441c03",
+    ("cycle4", "direct"): "9a95f07d0aaffe4b3b30661e20a57f623a4c22323e500ac497990054a3bde8c5",
+    ("cycle4", "recursive"): "5250088c224b6019f25d19349cac1614f2f817cdbd576d9b665937fe5fc5923c",
+    ("cycle5", "direct"): "5d82283ab7821e2ba218fef0a49d456c44aae6968a9cf12be3076c368ba08218",
+    ("cycle5", "recursive"): "cc0dfdaafad757b48d37fd0fc60c42be0a8a21ad5e426e207ec26383afd6e239",
+    ("double_bouquet22", "direct"): "0ec35553ca7c7e3de7663ce313cc703ee4934b585f03eb5561784a9447cf2450",
+    ("double_bouquet22", "recursive"): "5f64e7ff7adf51e6d92f3ba83e9048cced8528f84539f30bafe39c75312b864f",
+    ("equivariant_z2", "direct"): "89ad36b6e4650b3e84e9a19285787e7c464b7d7764fd433ba2a8e8dc957068d2",
+    ("equivariant_z2", "recursive"): "89ad36b6e4650b3e84e9a19285787e7c464b7d7764fd433ba2a8e8dc957068d2",
+    ("nodal_cubic", "direct"): "ed3c73361995d9c59ea68f3fca0cb64d3ee5318478f127a1b0461b74ffb6a17d",
+    ("nodal_cubic", "recursive"): "ed3c73361995d9c59ea68f3fca0cb64d3ee5318478f127a1b0461b74ffb6a17d",
+    ("s3_nodal", "direct"): "043732eca52c2fa8fcf88a028ed8f171f5b175da08605c362763a61b19c49703",
+    ("s3_nodal", "recursive"): "043732eca52c2fa8fcf88a028ed8f171f5b175da08605c362763a61b19c49703",
+    ("squared_interface", "direct"): "49232266ef94968ac304844d0c6c51768c66d6fd0c05d96bfcb342a7af810b15",
+    ("squared_interface", "recursive"): "49232266ef94968ac304844d0c6c51768c66d6fd0c05d96bfcb342a7af810b15",
+    ("star3", "direct"): "0b64b7f644a7da00033ddb60d843434a736904b128b7182e2c69a636a9d46b5e",
+    ("star3", "recursive"): "0b64b7f644a7da00033ddb60d843434a736904b128b7182e2c69a636a9d46b5e",
+    ("z2_chain", "direct"): "b629a7c25eedeb8eac4f1ddc6247bf6659412bcd5cb89b67ac91a93ab00a9cce",
+    ("z2_chain", "recursive"): "8b4a4585a6d5afd0c2428b52aad0e580631a5681274b82a01c6f38eda53e906a",
+    ("z2_double_bouquet", "direct"): "c0acf7fa32dd870b0fa79b446f78be67524e548794106a8b4e133fd5c53915fd",
+    ("z2_double_bouquet", "recursive"): "204574818fec7bda32ec80332025e073ac3a4e9decfc45d3103a4e1ae46317b7",
+    ("z2_nodal", "direct"): "d1151624c7e6828ba83eb9c5d2f3686134e955b74454eaf0c68b4b118d718f57",
+    ("z2_nodal", "recursive"): "d1151624c7e6828ba83eb9c5d2f3686134e955b74454eaf0c68b4b118d718f57",
+    ("line_cycle60", "direct"): "018e7a70db1534f7129702977e4fdc06a12f7459360d13bd71d470495f6e8e81",
+    ("line_cycle60", "recursive"): "10607c01aa57c241a5c2a0f95fdb80863de836e2726918afe53a46d10dd2b9bd",
+}
+
+
+def _golden_cases():
+    cfgs = dict(full_corpus())
+    cfgs["line_cycle60"] = line_cycle(60)
+    for (name, route), digest in sorted(GOLDEN.items()):
+        yield pytest.param(cfgs[name], route, digest, id=f"{name}-{route}")
+
+
+@pytest.mark.parametrize("cfg,route,digest", _golden_cases())
+def test_assembly_report_matches_golden(cfg, route, digest):
+    assemble = assemble_direct if route == "direct" else assemble_recursive
+    text = render_report(emit_assembly(assemble(cfg)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_golden_covers_whole_corpus():
+    assert {name for name, _ in GOLDEN} == set(full_corpus()) | {"line_cycle60"}
+
+
+# --- long configurations -----------------------------------------------------
+
+def test_recursive_assembly_of_long_cycle_does_not_recurse():
+    # one level per singular used to exceed the default recursion limit
+    cfg = line_cycle(1000)
+    res = assemble_recursive(cfg)
+    assert res.presentation.rank == 1
+    assert res.presentation.relations == ()
+    assert fingerprint(res.presentation, PROBES) == \
+        fingerprint(assemble_direct(cfg).presentation, PROBES)

@@ -147,7 +147,7 @@ def test_verification_table_present_iff_verify():
 def test_run_reports_both_methods_when_two_singulars():
     report, passed = run(line_cycle(2), verify=True, max_degree=3)
     assert passed
-    assert set(report["assemblies"]) == {"direct", "recursive", "curve_fast_path"}
+    assert set(report["assemblies"]) == {"direct", "recursive"}
     assert report["verification"]["methods_agree"]
 
 
@@ -159,7 +159,7 @@ def test_discreteness_section():
 def test_fast_path_reports_free_rank_two_presentation():
     from devissage.corpus import bouquet
     report, _ = run(bouquet(3))
-    fast = report["assemblies"]["curve_fast_path"]
+    fast = report["assemblies"]["direct"]
     assert report["rank"] == 2
     assert len(fast["presentation"]["generators"]) == 2
     assert fast["presentation"]["relations"] == []
@@ -178,6 +178,68 @@ def test_exit_one_on_parse_error(tmp_path, capsys):
     path = write(tmp_path, "bad.json", "{")
     assert main([path]) == 1
     assert "parse error" in capsys.readouterr().err
+
+
+def _malformed(path: tuple, value) -> str:
+    doc = json.loads(NODAL)
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    return json.dumps(doc)
+
+
+FINITE = {"kind": "finite", "degree": 2, "generators": [[1, 0]]}
+
+MALFORMED = {
+    "finite-generators-number": (("components", 0, "group"),
+                                 {**FINITE, "generators": 5}),
+    "finite-degree-true": (("components", 0, "group"), {**FINITE, "degree": True}),
+    "finite-permutation-of-bools": (("components", 0, "group"),
+                                    {**FINITE, "generators": [[True, False]]}),
+    "finite-permutation-of-strings": (("components", 0, "group"),
+                                      {**FINITE, "generators": [["1", 0]]}),
+    "presentation-relations-number": (("components", 0, "group"),
+                                      {"kind": "presentation", "generators": ["a"],
+                                       "relations": 5}),
+    "presentation-generator-list": (("components", 0, "group"),
+                                    {"kind": "presentation", "generators": [["a"]]}),
+    "component-id-number": (("components", 0, "id"), 7),
+    "singular-id-number": (("singulars", 0, "id"), 7),
+    "edge-id-number": (("edges", 0, "id"), 7),
+    "components-number": (("components",), 3),
+    "singulars-string": (("singulars",), "Z1"),
+    "edges-object": (("edges",), {"e1": {}}),
+    "component-ref-list": (("edges", 0, "component"), ["X1"]),
+    "singular-ref-number": (("edges", 0, "singular"), 1),
+}
+
+
+@pytest.mark.parametrize("path,value", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_field_is_a_parse_error(tmp_path, capsys, path, value):
+    text = _malformed(path, value)
+    with pytest.raises(ConfigParseError):
+        parse_config_text(text)
+    assert main([write(tmp_path, "c.json", text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("devissage: parse error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "deep.json", "[" * 100000 + "]" * 100000)
+    assert main([path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("devissage: parse error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "{", "[" * 100000 + "]" * 100000])
+def test_malformed_verdicts_file_exits_one(tmp_path, capsys, text):
+    cfg_path = write(tmp_path, "c.json", NODAL)
+    verdicts = write(tmp_path, "v.json", text)
+    assert main([cfg_path, "--discreteness", verdicts]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("devissage: error reading verdicts: ") and err.count("\n") == 1
 
 
 def test_exit_one_on_bad_flag(tmp_path):

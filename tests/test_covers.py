@@ -13,7 +13,7 @@ from math import factorial
 import pytest
 
 from devissage import (DescentTuple, GenId, TupleIso, assemble_direct,
-                       covers, enumerate_homs, enumerate_tuples,
+                       assemble_recursive, covers, enumerate_homs, enumerate_tuples,
                        equivalence_report, hom, hom_count, is_transitive,
                        is_tuple_iso, rep_of_tuple, symmetric,
                        tuple_components, tuple_of_rep, validate_tuple,
@@ -290,6 +290,17 @@ def test_roundtrip_identity_on_transitive_reps_degree_four():
             if not is_transitive([p for _, p in h.images], 4):
                 continue
             assert rep_of_tuple(cfg, res, tuple_of_rep(cfg, res, h)) == h
+
+
+def test_dictionary_rejects_results_without_a_tree():
+    cfg = line_cycle(2)
+    res = assemble_recursive(cfg)
+    t = enumerate_tuples(cfg, 2)[0]
+    with pytest.raises(ValueError, match="tree-based"):
+        rep_of_tuple(cfg, res, t)
+    h = next(iter(enumerate_homs(res.presentation, symmetric(2))))
+    with pytest.raises(ValueError, match="tree-based"):
+        tuple_of_rep(cfg, res, h)
 
 
 def test_tuple_of_rep_rejects_relator_violation():
