@@ -10,7 +10,7 @@ object, i.e. transitive actions up to simultaneous conjugation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence, Union
 
 from .perms import (Perm, PermGroupTarget, compose, identity_perm,
@@ -48,12 +48,13 @@ class Hom:
     source: Presentation
     target: Presentation | PermGroupTarget
     images: tuple[tuple[GenId, Image], ...]
+    _by_gen: dict[GenId, Image] | None = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     def image(self, g: GenId) -> Image:
-        for k, v in self.images:
-            if k == g:
-                return v
-        raise KeyError(g)
+        if self._by_gen is None:  # built on first use: most homs are never asked
+            object.__setattr__(self, "_by_gen", dict(self.images))
+        return self._by_gen[g]
 
     def images_dict(self) -> dict[GenId, Image]:
         return dict(self.images)
@@ -64,6 +65,7 @@ def hom(source: Presentation,
         images: Mapping[GenId, Image]) -> Hom:
     """Build a ``Hom``, checking every source generator has a valid image."""
     pairs = []
+    known = None if isinstance(target, PermGroupTarget) else set(target.generators)
     for g in source.generators:
         if g not in images:
             raise ValueError(f"missing image for {g}")
@@ -74,7 +76,7 @@ def hom(source: Presentation,
         else:
             if not isinstance(img, Word):
                 raise ValueError(f"image of {g} must be a word")
-            unknown = img.generators() - set(target.generators)
+            unknown = img.generators() - known
             if unknown:
                 raise ValueError(f"image of {g} uses unknown generators {sorted(map(str, unknown))}")
         pairs.append((g, img))

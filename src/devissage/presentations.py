@@ -97,10 +97,11 @@ def free_product(p: Presentation, q: Presentation) -> Presentation:
 def add_relations(p: Presentation,
                   pairs: Iterable[tuple[Word, Word]]) -> Presentation:
     """Impose equalities f = g by appending the relators f*g^-1."""
+    known = set(p.generators)
     extra = []
     for f, g in pairs:
         for gid in f.generators() | g.generators():
-            if gid not in p.generators:
+            if gid not in known:
                 raise ValueError(f"unknown generator {gid}")
         extra.append(reduce_word(f * g.inverse()))
     return Presentation(p.generators, p.relations + tuple(extra), notes=p.notes)

@@ -10,13 +10,17 @@ The input document is JSON with three arrays::
 A group is ``{"kind": "trivial"}``, ``{"kind": "presentation",
 "generators": [names], "relations": [[signed-name, ...], ...]}``, or
 ``{"kind": "finite", "degree": d, "generators": [[perm], ...]}``; the finite
-kind is closed under multiplication and converted to a presentation through
-its full multiplication table (one generator ``g0, g1, ...`` per
-non-identity element, in lexicographic element order).  A signed name is a
-generator name, prefixed with ``-`` for its inverse.  ``psi``/``phi`` map
-each edge-group generator name to a word (array of signed names) in the
-component/singular group; both may be omitted when the edge group is
-trivial.  Unknown fields anywhere are rejected.
+kind is presented on its listed permutations by the Schreier presentation of
+a breadth-first Cayley-graph tree (one relator per non-tree edge).  Its
+elements are named ``g0, g1, ...``: the non-identity elements in
+lexicographic order, each standing for its tree word.  A signed name is a
+generator name, or a finite group's element name, prefixed with ``-`` for
+its inverse.  ``psi``/``phi`` map each edge-group generator name to a word
+(array of signed names) in the component/singular group; both may be
+omitted when the edge group is trivial.  A finite edge group's maps are
+keyed by element names, and only the entries of its listed permutations are
+read (an identity permutation maps to the identity).  Unknown fields
+anywhere are rejected.
 
 Reports are emitted with a fixed key order and no volatile content (timings
 are opt-in), so reports for the same input bytes and flags are
@@ -27,16 +31,16 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .assembly import AssemblyResult
 from .configuration import (ComponentNode, Configuration, Edge, SingularNode)
 from .covers import EquivalenceReport
 from .discreteness import DiscretenessVerdict
 from .homs import Fingerprint, Hom, hom
-from .perms import Perm, compose, identity_perm, mulclose
+from .perms import Perm, compose, identity_perm
 from .presentations import Presentation, trivial_presentation
-from .words import GenId, Word
+from .words import IDENTITY, GenId, Letter, Word, gen
 
 __all__ = [
     "ConfigParseError",
@@ -86,14 +90,26 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_group(spec: Any, namespace: str, where: str) -> tuple[Presentation, dict[str, GenId]]:
-    """Returns the presentation plus the name -> generator map."""
+class _Group(NamedTuple):
+    """A parsed group: its presentation, the word each name of the document
+    stands for, and per generator the ``psi``/``phi`` key that holds its
+    image (None for an identity generator, which has no name)."""
+
+    presentation: Presentation
+    words: dict[str, Word]
+    keys: tuple[str | None, ...]
+
+
+_TRIVIAL = _Group(trivial_presentation(), {}, ())
+
+
+def _parse_group(spec: Any, namespace: str, where: str) -> _Group:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigParseError(f"{where}: group must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "trivial":
         _require_keys(spec, where, ("kind",))
-        return trivial_presentation(), {}
+        return _TRIVIAL
     if kind == "presentation":
         _require_keys(spec, where, ("kind", "generators"), ("relations",))
         names = _require_list(spec["generators"], where, "generators")
@@ -102,34 +118,45 @@ def _parse_group(spec: Any, namespace: str, where: str) -> tuple[Presentation, d
                 raise ConfigParseError(f"{where}: bad generator name {name!r}")
         if len(set(names)) != len(names):
             raise ConfigParseError(f"{where}: generators must be a list of distinct names")
-        table = {name: GenId(namespace, i) for i, name in enumerate(names)}
+        gens = tuple(GenId(namespace, i) for i in range(len(names)))
+        words = {name: gen(g) for name, g in zip(names, gens)}
         relations = []
         for j, rel in enumerate(_require_list(spec.get("relations", []), where, "relations")):
-            relations.append(_parse_word(rel, table, f"{where}: relation #{j}"))
-        return Presentation(tuple(table.values()), tuple(relations)), table
+            relations.append(_parse_word(rel, words, f"{where}: relation #{j}"))
+        return _Group(Presentation(gens, tuple(relations)), words, tuple(names))
     if kind == "finite":
         _require_keys(spec, where, ("kind", "degree", "generators"))
         return _finite_group(spec["degree"], spec["generators"], namespace, where)
     raise ConfigParseError(f"{where}: unknown group kind {kind!r}")
 
 
-def _parse_word(rel: Any, table: Mapping[str, GenId], where: str) -> Word:
+def _parse_word(rel: Any, words: Mapping[str, Word], where: str) -> Word:
+    """The product of the named words, a ``-name`` letter inverting its word."""
     if not isinstance(rel, list):
         raise ConfigParseError(f"{where}: a word is an array of signed names")
-    letters = []
+    letters: list[Letter] = []
     for item in rel:
         if not isinstance(item, str):
             raise ConfigParseError(f"{where}: bad letter {item!r}")
         sign, name = (-1, item[1:]) if item.startswith("-") else (1, item)
-        if name not in table:
+        if name not in words:
             raise ConfigParseError(f"{where}: unknown generator {name!r}")
-        letters.append((table[name], sign))
+        letters.extend(words[name].letters if sign > 0 else words[name].inverse().letters)
     return Word(tuple(letters))
 
 
-def _finite_group(degree: Any, gen_specs: Any, namespace: str,
-                  where: str) -> tuple[Presentation, dict[str, GenId]]:
-    """Cayley presentation of the group generated by explicit permutations."""
+def _finite_group(degree: Any, gen_specs: Any, namespace: str, where: str) -> _Group:
+    """Schreier presentation of the group generated by explicit permutations.
+
+    The generators are the k listed permutations.  A breadth-first search of
+    the right Cayley graph from the identity (element g, generator s,
+    neighbour g*s, generators in listed order) gives each element a tree
+    word w_g; every other edge yields the relator w_g*s*w_gs^-1, in search
+    order.  These |G|(k-1)+1 relators generate the kernel of the map from the
+    free group onto the permutation group (Schreier's lemma), so they present
+    it.  Element ``g<i>`` (the i-th non-identity element in lexicographic
+    order) names its tree word.
+    """
     if not _is_int(degree) or degree < 1:
         raise ConfigParseError(f"{where}: degree must be a positive integer")
     perms: list[Perm] = []
@@ -138,43 +165,50 @@ def _finite_group(degree: Any, gen_specs: Any, namespace: str,
                 or not all(map(_is_int, spec)) or sorted(spec) != list(range(degree))):
             raise ConfigParseError(f"{where}: {spec!r} is not a permutation of 0..{degree - 1}")
         perms.append(tuple(spec))
-    elements = sorted(mulclose(perms, degree))
+    gens = tuple(GenId(namespace, j) for j in range(len(perms)))
     ident = identity_perm(degree)
-    nontrivial = [p for p in elements if p != ident]
-    index = {p: i for i, p in enumerate(nontrivial)}
-    gens = tuple(GenId(namespace, i) for i in range(len(nontrivial)))
-
-    def letter_word(p: Perm) -> Word:
-        return Word() if p == ident else Word(((gens[index[p]], 1),))
-
+    tree = {ident: IDENTITY}
+    queue = [ident]
     relations = []
-    for x in nontrivial:
-        for y in nontrivial:
-            product = letter_word(compose(x, y))
-            relations.append(Word(((gens[index[x]], 1), (gens[index[y]], 1)))
-                             * product.inverse())
-    table = {f"g{i}": gens[i] for i in range(len(nontrivial))}
-    return Presentation(gens, tuple(relations)), table
+    for g in queue:  # the queue grows while it is read
+        for s, p in zip(gens, perms):
+            h = compose(g, p)
+            step = tree[g] * gen(s)
+            if h in tree:
+                relations.append(step * tree[h].inverse())
+            else:
+                tree[h] = step
+                queue.append(h)
+    names = {p: f"g{i}" for i, p in enumerate(sorted(tree)[1:])}  # the identity sorts first
+    return _Group(Presentation(gens, tuple(relations)),
+                  {name: tree[p] for p, name in names.items()},
+                  tuple(names.get(p) for p in perms))
 
 
-def _parse_hom(spec: Any, group: Presentation, table: Mapping[str, GenId],
-               target: Presentation, target_table: Mapping[str, GenId],
-               where: str) -> Hom:
+def _parse_hom(spec: Any, source: _Group, target: _Group, where: str) -> Hom:
+    """The edge map given by ``spec``, an object from names of the edge
+    group to words in the target.  Each generator's image is read from its
+    key (for a finite edge group, the element name of the listed
+    permutation); entries under other names of the edge group are checked
+    as words but not read."""
+    group = source.presentation
     if spec is None:
         if group.generators:
             raise ConfigParseError(f"{where}: map omitted but the edge group is nontrivial")
-        return hom(group, target, {})
+        return hom(group, target.presentation, {})
     if not isinstance(spec, dict):
         raise ConfigParseError(f"{where}: expected an object mapping names to words")
-    images: dict[GenId, Word] = {}
+    given: dict[str, Word] = {}
     for name, rel in spec.items():
-        if name not in table:
+        if name not in source.words:
             raise ConfigParseError(f"{where}: unknown edge generator {name!r}")
-        images[table[name]] = _parse_word(rel, target_table, f"{where}: image of {name!r}")
-    missing = set(group.generators) - set(images)
+        given[name] = _parse_word(rel, target.words, f"{where}: image of {name!r}")
+    missing = {key for key in source.keys if key is not None} - set(given)
     if missing:
-        raise ConfigParseError(f"{where}: missing image for {sorted(map(str, missing))}")
-    return hom(group, target, images)
+        raise ConfigParseError(f"{where}: missing image for {sorted(missing)}")
+    return hom(group, target.presentation,
+               {g: IDENTITY if key is None else given[key]
+                for g, key in zip(group.generators, source.keys)})
 
 
 def parse_config_text(text: str, source: str = "<config>") -> Configuration:
@@ -187,17 +221,17 @@ def parse_config_text(text: str, source: str = "<config>") -> Configuration:
     _require_keys(doc, source, ("components", "singulars", "edges"))
 
     nodes: dict[str, list] = {}
-    tables: dict[str, dict[str, tuple[Presentation, dict[str, GenId]]]] = {}
+    groups: dict[str, dict[str, _Group]] = {}
     for key, node in (("components", ComponentNode), ("singulars", SingularNode)):
-        nodes[key], tables[key] = [], {}
+        nodes[key], groups[key] = [], {}
         for i, item in enumerate(_require_list(doc[key], source, key)):
             where = f"{source}: {key}[{i}]"
             _require_keys(item, where, ("id", "group"))
             nid = _require_str(item, "id", where)
-            group, table = _parse_group(item["group"], nid, where)
-            nodes[key].append(node(nid, group))
-            tables[key][nid] = (group, table)
-    comp_tables, sing_tables = tables["components"], tables["singulars"]
+            parsed = _parse_group(item["group"], nid, where)
+            nodes[key].append(node(nid, parsed.presentation))
+            groups[key][nid] = parsed
+    comp_groups, sing_groups = groups["components"], groups["singulars"]
 
     edges = []
     for i, item in enumerate(_require_list(doc["edges"], source, "edges")):
@@ -206,16 +240,14 @@ def parse_config_text(text: str, source: str = "<config>") -> Configuration:
                       ("group", "psi", "phi"))
         eid, cid, sid = (_require_str(item, key, where)
                          for key in ("id", "component", "singular"))
-        group, table = _parse_group(item.get("group", {"kind": "trivial"}), eid, where)
-        if cid not in comp_tables:
+        parsed = _parse_group(item.get("group", {"kind": "trivial"}), eid, where)
+        if cid not in comp_groups:
             raise ConfigSemanticError(f"{where}: unknown component {cid!r}")
-        if sid not in sing_tables:
+        if sid not in sing_groups:
             raise ConfigSemanticError(f"{where}: unknown singular {sid!r}")
-        ctarget, ctable = comp_tables[cid]
-        starget, stable = sing_tables[sid]
-        psi = _parse_hom(item.get("psi"), group, table, ctarget, ctable, f"{where}: psi")
-        phi = _parse_hom(item.get("phi"), group, table, starget, stable, f"{where}: phi")
-        edges.append(Edge(eid, cid, sid, group, psi, phi))
+        psi = _parse_hom(item.get("psi"), parsed, comp_groups[cid], f"{where}: psi")
+        phi = _parse_hom(item.get("phi"), parsed, sing_groups[sid], f"{where}: phi")
+        edges.append(Edge(eid, cid, sid, parsed.presentation, psi, phi))
     return Configuration(tuple(nodes["components"]), tuple(nodes["singulars"]),
                          tuple(edges))
 
@@ -248,8 +280,8 @@ def emit_config(cfg: Configuration) -> dict:
     """JSON document for a configuration; re-parsing gives an equal value.
 
     Generator names are canonicalized to g0, g1, ...; groups given as
-    explicit finite groups come back as their multiplication-table
-    presentations.
+    explicit finite groups come back as their Schreier presentations on the
+    listed permutations.
     """
     doc: dict[str, Any] = {"components": [], "singulars": [], "edges": []}
     for c in cfg.components:

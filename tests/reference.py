@@ -191,3 +191,38 @@ def _encode(ca, sa, glues, edges, relab):
     for (ci, sj, _, _), lam in zip(edges, glues):
         parts.append(compose(compose(relab[nc + sj], lam), inverse(relab[ci])))
     return tuple(parts)
+
+
+def generated_elements(gens: Sequence[Perm], d: int) -> list[Perm]:
+    """All elements of the group generated by ``gens``, sorted (so the
+    identity comes first)."""
+    elements = {identity(d)}
+    frontier = [identity(d)]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = compose(x, g)
+            if y not in elements:
+                elements.add(y)
+                frontier.append(y)
+    return sorted(elements)
+
+
+def multiplication_table(gens: Sequence[Perm], d: int) -> tuple[int, list[list[Letter]]]:
+    """Presentation of the group generated by ``gens`` from its full table.
+
+    One generator per non-identity element (lexicographic order) and one
+    relator x*y*(xy)^-1 per ordered pair of them; returns (number of
+    generators, relators), the relator for x*y = 1 being just x*y.
+    """
+    nontrivial = generated_elements(gens, d)[1:]
+    index = {p: i for i, p in enumerate(nontrivial)}
+    relators = []
+    for x in nontrivial:
+        for y in nontrivial:
+            xy = compose(x, y)
+            rel = [(index[x], 1), (index[y], 1)]
+            if xy != identity(d):
+                rel.append((index[xy], -1))
+            relators.append(rel)
+    return len(nontrivial), relators

@@ -88,9 +88,9 @@ def test_finite_group_is_converted_to_cayley_presentation():
                   {"id": "e2", "component": "X1", "singular": "Z1"}],
     }))
     group = cfg.components[0].group
-    assert group.rank == 5  # the five non-identity elements of S3
-    assert len(group.relations) == 25
-    # Cayley presentation of S3 still has 10 homs into S3 (reference.py)
+    assert group.rank == 2  # the two listed permutations
+    assert len(group.relations) == 7  # |G|(k-1)+1 non-tree Cayley-graph edges
+    # the presentation of S3 still has 10 homs into S3 (reference.py)
     assert hom_count(group, symmetric(3)) == 10
 
 
