@@ -237,7 +237,7 @@ class _Structure:
         nf = len(self.fiber_names)
         # Scan moves per fiber, in a fixed order: generator slots first, then
         # incident edges in listed order (forward from components, backward
-        # from singulars).  The same order drives the relabelling in _is_least.
+        # from singulars).  The same order drives the comparison in _is_least.
         self.moves: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
         self.edges_at_fiber: list[list[int]] = [[] for _ in range(nf)]
         for f in range(nf):
@@ -268,8 +268,10 @@ def _scan(st: _Structure, d: int, emit) -> None:
     memory rather than by the interpreter's recursion limit.  Each frame
     is one choice point: the queue position and move index of an unset
     entry, the last label tried there, the target fiber's point count on
-    entry and the target fiber.  ``emit(img, lam, lpre)`` receives the
-    live tables, which the caller must copy to keep.
+    entry and the target fiber.  ``emit(img, lam, moves)`` receives the
+    live tables, which the caller must copy to keep, and per fiber the
+    live row each move reads with the fiber it lands in (see
+    ``_is_least``).
     """
     nf = len(st.fiber_names)
     ne = len(st.edge_ids)
@@ -328,6 +330,8 @@ def _scan(st: _Structure, d: int, emit) -> None:
             else:
                 steps.append((lpre[idx], lam[idx], tf, False, idx))
         plan.append(steps)
+    # Per fiber, the row each move reads and its target fiber, for emit.
+    moves = [[(fwd, tf) for fwd, _, tf, _, _ in steps] for steps in plan]
     full = nf * d  # the queue holds every labelled point exactly once
 
     stack: list[list[int]] = []
@@ -348,7 +352,7 @@ def _scan(st: _Structure, d: int, emit) -> None:
             mi += 1
         else:
             if len(queue) == full:
-                emit(img, lam, lpre)
+                emit(img, lam, moves)
 
         # Undo the top frame's last choice and try its next label; pop
         # frames whose labels are exhausted.
@@ -385,62 +389,51 @@ def _scan(st: _Structure, d: int, emit) -> None:
             return
 
 
-def _is_least(st: _Structure, d: int, img, lam, lpre) -> bool:
+def _is_least(d: int, moves) -> bool:
     """True iff no other base point in the root fiber relabels the table to
-    a strictly smaller encoding (orderly acceptance).
+    one that is smaller in scan order (orderly acceptance).
 
-    A table emitted by ``_scan`` is its own relabelling from base point 0.
-    Relabelling from each other seed reuses the scan's move order, and the
-    result is compared with the table entry by entry in encoding order
-    (generator rows by fiber and slot, then gluing rows by edge), stopping
-    at the first difference.  Exactly one emitted table per tuple class is
-    least, so accepting only those deduplicates without storing anything.
+    ``moves[f]`` lists, in the scan's move order, the row each move of
+    fiber f reads (a generator row, a gluing or an inverse gluing) and the
+    fiber it lands in.  A table is compared as the sequence of its entries
+    in the order ``_scan`` fills them: the points in breadth-first order
+    from (root fiber, point 0), and each point's moves in order.  A table
+    emitted by ``_scan`` is its own relabelling from base point 0.  From
+    each other seed the relabelling is built in that same order and
+    compared as it is built: the point u at queue position k carries its
+    new label p, the table's point at position k is p as long as the two
+    sequences agree, and each move compares u's relabelled image with the
+    table's entry at p.  The first difference decides the seed.  The
+    sequence determines the table, so this is a total order, and exactly
+    one emitted table per tuple class is least; accepting only those
+    deduplicates without storing anything.
     """
-    nf = len(st.fiber_names)
-    steps = []  # per fiber: the row each move reads and the fiber it lands in
-    for f in range(nf):
-        moves = zip(st.moves[f], st.move_targets[f])
-        steps.append([(img[f][idx] if kind == 0 else lam[idx] if kind == 1
-                       else lpre[idx], tf) for (kind, idx), tf in moves])
+    nf = len(moves)
     for seed in range(1, d):
-        m = [[-1] * d for _ in range(nf)]
-        inv = [[-1] * d for _ in range(nf)]
+        m = [[-1] * d for _ in range(nf)]  # old label -> new label, per fiber
         cnt = [0] * nf
         m[0][seed] = 0
-        inv[0][0] = seed
         cnt[0] = 1
         order = [(0, seed)]
-        for f, p in order:
-            for row, tf in steps[f]:
-                t = row[p]
+        for f, u in order:
+            p = m[f][u]
+            for row, tf in moves[f]:
                 mt = m[tf]
-                if mt[t] < 0:
-                    c = cnt[tf]
-                    mt[t] = c
-                    inv[tf][c] = t
-                    cnt[tf] = c + 1
+                t = row[u]
+                new = mt[t]
+                if new < 0:
+                    new = mt[t] = cnt[tf]
+                    cnt[tf] = new + 1
                     order.append((tf, t))
-        if _relabelled_smaller(st, d, img, lam, m, inv):
-            return False
-    return True
-
-
-def _relabelled_smaller(st: _Structure, d: int, img, lam, m, inv) -> bool:
-    """True iff the table relabelled by (m, inv) encodes strictly smaller."""
-    for f, rows in enumerate(img):
-        mf, invf = m[f], inv[f]
-        for row in rows:
-            for x in range(d):
-                new, old = mf[row[invf[x]]], row[x]
+                old = row[p]
                 if new != old:
-                    return new < old
-    for ei, row in enumerate(lam):
-        ms, invc = m[st.edge_sing[ei]], inv[st.edge_comp[ei]]
-        for x in range(d):
-            new, old = ms[row[invc[x]]], row[x]
-            if new != old:
-                return new < old
-    return False
+                    break
+            else:
+                continue
+            if new < old:
+                return False
+            break
+    return True
 
 
 def _census(cfg: Configuration, degree: int, accept) -> _Structure:
@@ -451,8 +444,8 @@ def _census(cfg: Configuration, degree: int, accept) -> _Structure:
         raise DisconnectedError("tuple census requires a connected configuration")
     st = _Structure(cfg)
 
-    def emit(img, lam, lpre):
-        if _is_least(st, degree, img, lam, lpre):
+    def emit(img, lam, moves):
+        if _is_least(degree, moves):
             accept(img, lam)
 
     _scan(st, degree, emit)
@@ -477,13 +470,14 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
     """All connected descent tuples with fibers of size exactly ``degree``,
     up to isomorphism, in a deterministic order.
 
-    Each tuple is returned in its least-encoding labelling, and the list is
-    sorted by that encoding.  The scan emits one labelled table per pointed
-    class; a table is kept iff it is the least relabelling over all base
-    points of the root fiber (orderly acceptance), so no dictionary of
-    canonical forms is built.  Over a connected configuration every fiber
-    of a connected tuple has the same size, so a single degree describes
-    the whole cover.
+    The scan emits one labelled table per pointed class; a table is kept
+    iff no other base point of the root fiber relabels it to a table that
+    is smaller in scan order (orderly acceptance, see ``_is_least``), so
+    no dictionary of canonical forms is built.  Each tuple is returned in
+    that least labelling, and the list is sorted by the row-major key:
+    generator rows by fiber and slot, then gluing rows by edge.  Over a
+    connected configuration every fiber of a connected tuple has the same
+    size, so a single degree describes the whole cover.
     """
     found: list[tuple[tuple[int, ...], list, list]] = []
 

@@ -216,12 +216,18 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
     """Transitive actions of ``p`` on {0..degree-1} up to conjugation.
 
     Equivalently: isomorphism classes of connected degree-``degree`` covers
-    of the classifying object.  The search enumerates one canonically
-    labelled table per pointed action (points are labelled in the order a
-    fixed scan discovers them, so per-table relabelling freedom is gone),
-    then divides out the base-point choice by automorphism counting: each
-    isomorphism class of transitive actions contains degree/|Aut| pointed
-    tables, so the class count is sum(|Aut|)/degree.
+    of the classifying object.  The search fills the table cell by cell,
+    point-major ((point 0, generator 0), (point 0, generator 1), ...), and
+    enumerates one canonically labelled table per pointed action (points
+    are labelled in the order this scan discovers them, so per-table
+    relabelling freedom is gone), then divides out the base-point choice by
+    automorphism counting: each isomorphism class of transitive actions
+    contains degree/|Aut| pointed tables, so the class count is
+    sum(|Aut|)/degree.  A seed is an automorphism iff its scan-order
+    relabelling reproduces the table; that relabelling is checked cell by
+    cell while it is built and abandoned at the first mismatch.  The scan
+    runs on an explicit stack, one entry per cell, so its depth (degree
+    times rank) is not bounded by the interpreter's recursion limit.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -241,12 +247,11 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
     d = degree
     img = [[-1] * d for _ in range(r)]
     pre = [[-1] * d for _ in range(r)]
-    state = {"discovered": 1, "aut_total": 0}
 
-    def relators_ok(gi: int) -> bool:
-        # Prune on any relator trace that is fully determined and fails.
-        n = state["discovered"]
-        for path in by_gen[gi]:
+    def relators_ok(rels, n: int) -> bool:
+        # Prune on any relator trace that is fully determined and fails;
+        # n points are discovered.
+        for path in rels:
             for start in range(n):
                 x = start
                 for gj, s in path:
@@ -259,51 +264,67 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
         return True
 
     def automorphisms() -> int:
-        # Seeds whose scan-relabelling reproduces the table verbatim are
-        # exactly the automorphisms of the action (they act freely).
-        count = 0
-        for seed in range(d):
+        # Seeds whose scan-order relabelling reproduces the table verbatim
+        # are exactly the automorphisms of the action (they act freely).
+        # The new label of order[k] is k, so the relabelled cell (k, gi)
+        # is m[img[gi][order[k]]]; seed 0 reproduces the table.
+        count = 1
+        for seed in range(1, d):
             m = [-1] * d
             m[seed] = 0
             order = [seed]
-            for x in order:
-                for gi in range(r):
-                    y = img[gi][x]
+            for k, x in enumerate(order):
+                for row in img:
+                    y = row[x]
                     if m[y] < 0:
                         m[y] = len(order)
                         order.append(y)
-            if all(m[img[gi][x]] == img[gi][m[x]]
-                   for gi in range(r) for x in range(d)):
+                    if m[y] != row[k]:
+                        break
+                else:
+                    continue
+                break
+            else:
                 count += 1
         return count
 
-    def scan(cell: int) -> None:
-        if cell == d * r:
-            state["aut_total"] += automorphisms()
-            return
-        point, gi = divmod(cell, r)
-        n = state["discovered"]
-        if point >= n:
-            return  # the scan closed up early: a proper sub-action, too small
-        row, col = img[gi], pre[gi]
-        limit = min(n + 1, d)
-        for q in range(limit):
+    cells = d * r
+    # Per cell: its point, the row and inverse row it fills, the relators
+    # through its generator, and the point of the next cell.
+    plan = [(cell // r, img[cell % r], pre[cell % r], by_gen[cell % r],
+             (cell + 1) // r) for cell in range(cells)]
+    tried = [-1] * cells  # the label set at each cell of the current path
+    known = [0] * cells   # points discovered when the cell was reached
+    known[0] = 1
+    limit = [min(n + 1, d) for n in range(d + 1)]  # labels open to n points
+    aut_total = 0
+    last = cells - 1
+    cell = 0
+    while cell >= 0:
+        point, row, col, rels, next_point = plan[cell]
+        n, q = known[cell], tried[cell]
+        if q >= 0:
+            row[point] = col[q] = -1
+        for q in range(q + 1, limit[n]):
             if col[q] >= 0:
                 continue
             row[point] = q
             col[q] = point
-            fresh = q == n
-            if fresh:
-                state["discovered"] = n + 1
-            if relators_ok(gi):
-                scan(cell + 1)
-            if fresh:
-                state["discovered"] = n
-            row[point] = -1
-            col[q] = -1
-
-    scan(0)
-    total = state["aut_total"]
-    if total % d:
+            found = n + 1 if q == n else n
+            if not rels or relators_ok(rels, found):
+                if cell == last:
+                    aut_total += automorphisms()
+                elif next_point < found:
+                    break  # descend to the next cell
+                # else the scan closed up early: a proper sub-action
+            row[point] = col[q] = -1
+        else:
+            tried[cell] = -1
+            cell -= 1
+            continue
+        tried[cell] = q
+        cell += 1
+        known[cell] = found
+    if aut_total % d:
         raise RuntimeError("automorphism bookkeeping is inconsistent")
-    return total // d
+    return aut_total // d

@@ -193,6 +193,59 @@ def _encode(ca, sa, glues, edges, relab):
     return tuple(parts)
 
 
+def _scan_sequence(moves, start: tuple[int, int]):
+    """Breadth-first scan of a table from ``start``.
+
+    ``moves[f]`` lists (row, target fiber) pairs: row[x] is where point x
+    of fiber f goes.  Returns the points in the order the scan first meets
+    them and the entries it reads, point by point, move by move."""
+    seen = {start}
+    order = [start]
+    entries = []
+    for f, x in order:
+        for row, tf in moves[f]:
+            y = row[x]
+            entries.append(y)
+            if (tf, y) not in seen:
+                seen.add((tf, y))
+                order.append((tf, y))
+    return order, tuple(entries)
+
+
+def _relabel(moves, maps):
+    """The table with every point x of fiber f renamed maps[f][x]."""
+    out = []
+    for f, fiber_moves in enumerate(moves):
+        rows = []
+        for row, tf in fiber_moves:
+            new = [0] * len(row)
+            for x, y in enumerate(row):
+                new[maps[f][x]] = maps[tf][y]
+            rows.append((tuple(new), tf))
+        out.append(rows)
+    return out
+
+
+def naive_is_least(moves, d: int) -> bool:
+    """True iff no seed of fiber 0 relabels the table to a smaller one.
+
+    From each seed, number the points of every fiber in the order a
+    breadth-first scan from (fiber 0, seed) first meets them, relabel the
+    whole table, and read the relabelled table's complete scan-order
+    sequence from (fiber 0, point 0); the table is least iff its own
+    sequence is the smallest of them."""
+    own = _scan_sequence(moves, (0, 0))[1]
+    for seed in range(d):
+        order, _ = _scan_sequence(moves, (0, seed))
+        maps = [{} for _ in moves]
+        for f, x in order:
+            maps[f][x] = len(maps[f])
+        relabelled = _relabel(moves, maps)
+        if _scan_sequence(relabelled, (0, 0))[1] < own:
+            return False
+    return True
+
+
 def generated_elements(gens: Sequence[Perm], d: int) -> list[Perm]:
     """All elements of the group generated by ``gens``, sorted (so the
     identity comes first)."""

@@ -7,6 +7,7 @@ existed.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -18,7 +19,7 @@ from devissage import (DescentTuple, GenId, TupleIso, assemble_direct,
                        is_tuple_iso, rep_of_tuple, symmetric,
                        tuple_components, tuple_of_rep, validate_tuple,
                        verify_hom)
-from devissage.covers import _Structure, _scan, _transports
+from devissage.covers import _Structure, _is_least, _scan, _transports
 from devissage.corpus import (bouquet, chain, equivariant_z2, full_corpus,
                               line_cycle, nodal_cubic, s3_nodal,
                               squared_interface, z2_nodal)
@@ -140,6 +141,29 @@ def test_census_members_are_valid_connected_and_distinct():
                        tuple(sorted(t.gluings.items())))
                 assert key not in seen
                 seen.add(key)
+            # pairwise non-isomorphic: no choice of fiber bijections works
+            perms = list(itertools.permutations(range(d)))
+            comps = [c.id for c in cfg.components]
+            sings = [s.id for s in cfg.singulars]
+            for a, b in itertools.combinations(tuples, 2):
+                for maps in itertools.product(perms, repeat=len(comps) + len(sings)):
+                    iso = TupleIso(dict(zip(comps, maps)),
+                                   dict(zip(sings, maps[len(comps):])))
+                    assert not is_tuple_iso(cfg, a, b, iso)
+
+
+@pytest.mark.parametrize("name", sorted(full_corpus()))
+def test_is_least_agrees_with_naive_reference(name):
+    # the naive oracle relabels fully from every seed before comparing
+    from reference import naive_is_least
+    cfg = full_corpus()[name]
+    st = _Structure(cfg)
+    for d in range(1, 5):
+        def check(img, lam, moves):
+            frozen = [[(tuple(row), tf) for row, tf in fiber] for fiber in moves]
+            assert _is_least(d, moves) == naive_is_least(frozen, d)
+
+        _scan(st, d, check)
 
 
 def _hall_subgroup_counts(presentation, max_degree: int) -> list[int]:
@@ -177,7 +201,7 @@ def test_scan_emits_one_table_per_subgroup_halls_formula(name, expected):
     for d in range(1, len(expected) + 1):
         tables = 0
 
-        def count(img, lam, lpre):
+        def count(img, lam, moves):
             nonlocal tables
             tables += 1
 

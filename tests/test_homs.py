@@ -9,11 +9,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from devissage import (GenId, Presentation, Word,
+from devissage import (GenId, Presentation, Word, assemble_direct,
                        count_transitive_actions, cyclic, cyclic_presentation,
                        enumerate_homs, fingerprint, free_presentation,
                        free_product, gen, hom, hom_count, pullback, symmetric,
                        verify_hom, word)
+from devissage.corpus import bouquet, full_corpus
 
 Z2 = cyclic_presentation("a", 2)
 Z3 = cyclic_presentation("a", 3)
@@ -175,6 +176,30 @@ def test_trivial_presentation_counts():
 def test_degree_must_be_positive():
     with pytest.raises(ValueError):
         count_transitive_actions(Z2, 0)
+
+
+def test_counter_of_high_rank_does_not_recurse():
+    # the scan's depth is degree x rank, 1099 cells here
+    pres = assemble_direct(bouquet(1100)).presentation
+    assert len(pres.generators) == 1099
+    assert count_transitive_actions(pres, 1) == 1
+
+
+def _corpus_oracle_cases():
+    for name, cfg in sorted(full_corpus().items()):
+        pres = assemble_direct(cfg).presentation
+        for d in range(1, 4 if len(pres.generators) > 2 else 5):
+            yield pytest.param(name, d, id=f"{name}-{d}")
+
+
+@pytest.mark.parametrize("name,d", _corpus_oracle_cases())
+def test_counter_matches_naive_reference_on_corpus(name, d):
+    from reference import naive_transitive_classes
+    pres = assemble_direct(full_corpus()[name]).presentation
+    index = {g: i for i, g in enumerate(pres.generators)}
+    relators = [[(index[g], s) for g, s in w.letters] for w in pres.relations]
+    assert count_transitive_actions(pres, d) == \
+        naive_transitive_classes(len(pres.generators), relators, d)
 
 
 @settings(deadline=None, max_examples=25)
