@@ -7,8 +7,9 @@ by hom fingerprints and by the cover census in ``covers``):
   a free conjugator, every edge k imposes psi_k(a) = x_k^-1 phi_k(a) x_k with
   x_k trivial on tree edges;
 * ``assemble_recursive`` - add one singular-centered block at a time, in a
-  fixed block order, and recombine with the van Kampen construction,
-  amalgamating over the groups of the components the two sides share.
+  fixed block order, by the van Kampen construction (form i), amalgamating
+  over the groups of the components each block shares with those before
+  it; the presentation is built once, after the last block.
 
 Base-point and path choices are realized by the spanning tree: tree edges
 are the chosen paths (conjugator = identity), cotree edges get free
@@ -21,12 +22,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .configuration import (ComponentNode, Configuration, DisconnectedError,
-                            Edge, build_graph, is_connected, spanning_tree,
-                            subconfiguration)
-from .homs import hom
-from .presentations import Presentation, rename_namespaces
-from .vankampen import Interface, VKInput, van_kampen
+from .configuration import (Configuration, DisconnectedError, build_graph,
+                            is_connected, spanning_tree, subconfiguration)
+from .presentations import Presentation
 from .words import GenId, Word, gen, reduce_word
 
 __all__ = [
@@ -185,82 +183,62 @@ def block_order(cfg: Configuration) -> tuple[str, ...]:
     return tuple(b.singular for b in _ordered_blocks(cfg))
 
 
-def _rename_components(cfg: Configuration, comp_ids: set[str],
-                       suffix: str) -> Configuration:
-    """Suffix the group namespaces of the given components (ids stay put);
-    edge psi maps into them are rewritten to match."""
-    renamed_groups: dict[str, Presentation] = {}
-    gen_maps: dict[str, dict] = {}
-    components = []
-    for c in cfg.components:
-        if c.id in comp_ids:
-            group, mapping = rename_namespaces(c.group, lambda ns: ns + suffix)
-            renamed_groups[c.id] = group
-            gen_maps[c.id] = mapping
-            components.append(ComponentNode(c.id, group))
-        else:
-            components.append(c)
-    edges = []
-    for e in cfg.edges:
-        if e.component in comp_ids:
-            mapping = gen_maps[e.component]
-            images = {a: Word(tuple((mapping[g], s) for g, s in w.letters))
-                      for a, w in e.psi.images}
-            psi = hom(e.group, renamed_groups[e.component], images)
-            edges.append(Edge(e.id, e.component, e.singular, e.group, psi, e.phi))
-        else:
-            edges.append(e)
-    return Configuration(tuple(components), cfg.singulars, tuple(edges))
-
-
 def assemble_recursive(cfg: Configuration) -> AssemblyResult:
     """Block-splitting assembly.
 
     With one singular (or none) this delegates to the direct route.
-    Otherwise the blocks are folded in ``block_order``: each block is
-    assembled directly and recombined with the blocks before it by the van
-    Kampen construction (the nesting of splitting off the last block and
-    recursing, since the greedy order of a prefix is that prefix).  The
-    interfaces are the groups of the shared components: in the descent-tuple
-    model the fiber over a shared component carries an action of exactly
-    that group on both sides.  Each added block gets its shared component
-    generators renamed (suffix ``@block``), so the result presents the same
-    group with extra, conjugation-identified copies of those generators.
+    Otherwise the blocks are folded in ``block_order`` by the van Kampen
+    construction in form (i), as one flat pass: each block is assembled
+    directly and its generators and relators are appended to one growing
+    list, and the presentation is built once at the end.  The interfaces
+    are the groups of the components a block shares with the blocks before
+    it: in the descent-tuple model the fiber over a shared component carries
+    an action of exactly that group on both sides.  The block's copy of a
+    shared component generator g is renamed g@block, and with conjugators
+    F@block.2..s (v_1 empty) each copy is tied to the original by the
+    relator g^-1 v_i^-1 g@block v_i.  The result presents the same group
+    with extra, conjugation-identified copies of those generators.
     """
     if len(cfg.singulars) <= 1:
         return assemble_direct(cfg)
     first, *rest = _ordered_blocks(cfg)
     start = assemble_direct(subconfiguration(cfg, [first.singular]))
-    combined = start.presentation
+    gens = list(start.presentation.generators)
+    rels = list(start.presentation.relations)
     dictionary = dict(start.dictionary)
+    namespaces = set(start.presentation.namespaces())
     covered = set(first.components)
     for block in rest:
         last = block.singular
         shared = sorted(covered.intersection(block.components))
         assert shared, "block order guarantees each block meets the ones before it"
-        right = assemble_direct(_rename_components(
-            subconfiguration(cfg, [last]), set(shared), f"@{last}"))
+        right = assemble_direct(subconfiguration(cfg, [last]))
+        copies = {g: GenId(f"{g.namespace}@{last}", g.index)
+                  for cid in shared for g in cfg.component(cid).group.generators}
+        conj_ns = f"F@{last}"
+        conjugators = [GenId(conj_ns, i) for i in range(2, len(shared) + 1)]
+        block_gens = [copies.get(g, g) for g in right.presentation.generators]
+        # validate_config reserves "@" and makes namespaces unique, so only
+        # unvalidated inputs can collide; the incoming block is checked alone
+        spaces = {g.namespace for g in block_gens}
+        clash = namespaces & spaces | (namespaces | spaces) & {conj_ns}
+        if clash:
+            raise ValueError(f"namespace collision: {sorted(clash)}")
+        namespaces |= spaces | {x.namespace for x in conjugators}
 
-        interfaces = []
-        for cid in shared:
-            group = cfg.component(cid).group
-            iface_group, mapping = rename_namespaces(group, lambda ns: f"{ns}#{last}")
-            psi = hom(iface_group, combined,
-                      {mapping[g]: gen(g) for g in group.generators})
-            phi = hom(iface_group, right.presentation,
-                      {mapping[g]: gen(GenId(f"{g.namespace}@{last}", g.index))
-                       for g in group.generators})
-            interfaces.append(Interface(iface_group, psi, phi))
-
-        combined = van_kampen(
-            VKInput(combined, right.presentation, tuple(interfaces)),
-            conj_namespace=f"F@{last}")
-
+        gens += block_gens + conjugators
+        rels += (Word(tuple((copies.get(g, g), s) for g, s in w.letters))
+                 for w in right.presentation.relations)
+        for cid, v in zip(shared, [Word()] + [gen(x) for x in conjugators]):
+            rels += (reduce_word(gen(g, -1) * v.inverse() * gen(copies[g]) * v)
+                     for g in cfg.component(cid).group.generators)
+        dictionary.update((x, Origin("conjugator", cid, detail=last))
+                          for x, cid in zip(conjugators, shared[1:]))
         for g, origin in right.dictionary.items():
-            if origin.kind == "component" and origin.node in shared and not origin.detail:
+            if g in copies:
                 origin = Origin("component", origin.node, detail=f"copy@{last}")
-            dictionary[g] = origin
-        for i, cid in enumerate(shared[1:], start=2):
-            dictionary[GenId(f"F@{last}", i)] = Origin("conjugator", cid, detail=last)
+            dictionary[copies.get(g, g)] = origin
         covered.update(block.components)
-    return AssemblyResult(combined, dictionary, "recursive")
+    pres = Presentation(tuple(gens), tuple(rels),
+                        notes=("conjugation relations imposed on interface generators only",))
+    return AssemblyResult(pres, dictionary, "recursive")

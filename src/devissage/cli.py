@@ -70,7 +70,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--method", choices=("direct", "recursive", "both"),
                         default=None,
                         help="assembly route (default: both when there are "
-                             "two or more singulars)")
+                             "two or more singulars); recursive reports the "
+                             "same as both, since --verify and --discreteness "
+                             "need the direct route's spanning tree")
     parser.add_argument("--probes", default=DEFAULT_PROBES, metavar="LIST",
                         help=f"fingerprint probe groups (default {DEFAULT_PROBES})")
     parser.add_argument("--report", default=None, metavar="PATH",
@@ -169,8 +171,8 @@ def main(argv: list[str] | None = None) -> int:
 
     problems = validate_config(cfg)
     if problems:
-        for p in problems:
-            print(f"devissage: invalid configuration: {p}", file=sys.stderr)
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        print(f"devissage: invalid configuration: {problems[0]}{more}", file=sys.stderr)
         return 2
     if not is_connected(build_graph(cfg)):
         print("devissage: invalid configuration: incidence graph is not connected",
@@ -206,6 +208,9 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if not passed:
+        print("devissage: verification failed: the routes or the census disagree",
+              file=sys.stderr)
     return 0 if passed else 3
 
 

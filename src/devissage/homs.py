@@ -147,9 +147,14 @@ def _iter_image_tuples(p: Presentation, g: PermGroupTarget) -> Iterator[tuple[Pe
     """Depth-first search over generator images in listed order.
 
     A relator is checked as soon as its last-listed generator receives an
-    image; this early pruning is what keeps larger probes tractable.
+    image; this early pruning is what keeps larger probes tractable.  The
+    search runs on an explicit stack (per generator, the index of the next
+    element to try), so the rank is not bounded by the recursion limit.
     """
     r = len(p.generators)
+    if r == 0:
+        yield ()
+        return
     _, rels = _indexed_relators(p)
     by_last: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in range(r)]
     for rel in rels:
@@ -157,8 +162,8 @@ def _iter_image_tuples(p: Presentation, g: PermGroupTarget) -> Iterator[tuple[Pe
     d = g.degree
     ident = identity_perm(d)
     elements = g.elements
-    chosen: list[Perm] = []
-    inverses: list[Perm] = []
+    chosen: list[Perm] = [ident] * r
+    inverses: list[Perm] = [ident] * r
 
     def ok(rel: tuple[tuple[int, int], ...]) -> bool:
         out = ident
@@ -166,19 +171,22 @@ def _iter_image_tuples(p: Presentation, g: PermGroupTarget) -> Iterator[tuple[Pe
             out = compose(chosen[gi] if s > 0 else inverses[gi], out)
         return out == ident
 
-    def walk(k: int) -> Iterator[tuple[Perm, ...]]:
-        if k == r:
-            yield tuple(chosen)
-            return
-        for el in elements:
-            chosen.append(el)
-            inverses.append(inverse_perm(el))
-            if all(ok(rel) for rel in by_last[k]):
-                yield from walk(k + 1)
-            chosen.pop()
-            inverses.pop()
-
-    yield from walk(0)
+    following = [0] * r
+    k = 0
+    while k >= 0:
+        i = following[k]
+        if i == len(elements):
+            following[k] = 0
+            k -= 1
+            continue
+        following[k] = i + 1
+        chosen[k] = elements[i]
+        inverses[k] = inverse_perm(elements[i])
+        if all(ok(rel) for rel in by_last[k]):
+            if k == r - 1:
+                yield tuple(chosen)
+            else:
+                k += 1
 
 
 def enumerate_homs(p: Presentation, g: PermGroupTarget) -> list[Hom]:

@@ -45,18 +45,22 @@ def all_perms(d: int) -> list[Perm]:
     return [tuple(p) for p in itertools.permutations(range(d))]
 
 
+def naive_homs(num_gens: int,
+               relators: Sequence[Sequence[Letter]],
+               elements: Sequence[Perm]) -> list[tuple[Perm, ...]]:
+    """Maps gens -> elements killing every relator, in product order."""
+    if not elements:
+        raise ValueError("empty target")
+    d = len(elements[0])
+    return [images for images in itertools.product(elements, repeat=num_gens)
+            if all(eval_word(r, images, d) == identity(d) for r in relators)]
+
+
 def naive_hom_count(num_gens: int,
                     relators: Sequence[Sequence[Letter]],
                     elements: Sequence[Perm]) -> int:
     """Number of maps gens -> elements killing every relator."""
-    if not elements:
-        raise ValueError("empty target")
-    d = len(elements[0])
-    count = 0
-    for images in itertools.product(elements, repeat=num_gens):
-        if all(eval_word(r, images, d) == identity(d) for r in relators):
-            count += 1
-    return count
+    return len(naive_homs(num_gens, relators, elements))
 
 
 def _transitive(images: Sequence[Perm], d: int) -> bool:

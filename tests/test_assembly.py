@@ -6,18 +6,33 @@ import hashlib
 
 import pytest
 
-from devissage import (DisconnectedError, GenId, assemble_direct,
+from devissage import (ComponentNode, Configuration, DisconnectedError,
+                       GenId, Presentation, SingularNode, assemble_direct,
                        assemble_recursive, block_order, cyclic,
                        cyclic_presentation, fingerprint, free_edge_generator,
                        free_rank, hom_count, split_blocks, subconfiguration,
-                       symmetric, word)
+                       symmetric, trivial_presentation, word)
 from devissage.corpus import (all_trivial_corpus, bouquet, chain,
                               double_bouquet, equivariant_z2, full_corpus,
-                              line_cycle, nodal_cubic, z2_chain,
+                              line_cycle, nodal_cubic, trivial_edge, z2_chain,
                               z2_double_bouquet, z2_nodal)
 from devissage.serialize import emit_assembly, render_report
 
 PROBES = (symmetric(2), cyclic(3), symmetric(3), cyclic(4))
+
+
+def z2_lines(n: int, closed: bool) -> Configuration:
+    """n lines, each carrying Z/2, consecutive ones meeting in a point: a
+    chain, or a cycle when ``closed`` (Z_n then joins X_n and X_1)."""
+    comps = tuple(ComponentNode(f"X{i}", cyclic_presentation(f"X{i}", 2))
+                  for i in range(1, n + 1))
+    sings = tuple(SingularNode(f"Z{i}", trivial_presentation())
+                  for i in range(1, (n if closed else n - 1) + 1))
+    edges = []
+    for i in range(1, len(sings) + 1):
+        edges.append(trivial_edge(f"e{i}a", comps[i - 1], sings[i - 1]))
+        edges.append(trivial_edge(f"e{i}b", comps[i % n], sings[i - 1]))
+    return Configuration(comps, sings, tuple(edges))
 
 
 # --- direct ------------------------------------------------------------------
@@ -232,12 +247,16 @@ GOLDEN = {
     ("z2_nodal", "recursive"): "d1151624c7e6828ba83eb9c5d2f3686134e955b74454eaf0c68b4b118d718f57",
     ("line_cycle60", "direct"): "018e7a70db1534f7129702977e4fdc06a12f7459360d13bd71d470495f6e8e81",
     ("line_cycle60", "recursive"): "10607c01aa57c241a5c2a0f95fdb80863de836e2726918afe53a46d10dd2b9bd",
+    # the closing block Z4 shares the two nontrivial components X4 and X1
+    ("z2_line_cycle4", "direct"): "5efae32dbffa069ec1d83ebec278d32ee8cd2d8f73e4f0a560c258e907823559",
+    ("z2_line_cycle4", "recursive"): "82ac779a15e31caa2bc0f01d5a3a7d94324a392cba2cf0636ca97fa9bb7f2d1e",
 }
 
 
 def _golden_cases():
     cfgs = dict(full_corpus())
     cfgs["line_cycle60"] = line_cycle(60)
+    cfgs["z2_line_cycle4"] = z2_lines(4, closed=True)
     for (name, route), digest in sorted(GOLDEN.items()):
         yield pytest.param(cfgs[name], route, digest, id=f"{name}-{route}")
 
@@ -250,7 +269,8 @@ def test_assembly_report_matches_golden(cfg, route, digest):
 
 
 def test_golden_covers_whole_corpus():
-    assert {name for name, _ in GOLDEN} == set(full_corpus()) | {"line_cycle60"}
+    assert {name for name, _ in GOLDEN} == \
+        set(full_corpus()) | {"line_cycle60", "z2_line_cycle4"}
 
 
 # --- long configurations -----------------------------------------------------
@@ -263,3 +283,40 @@ def test_recursive_assembly_of_long_cycle_does_not_recurse():
     assert res.presentation.relations == ()
     assert fingerprint(res.presentation, PROBES) == \
         fingerprint(assemble_direct(cfg).presentation, PROBES)
+
+
+def test_recursive_assembly_checks_a_linear_amount(monkeypatch):
+    # Sum of the generators and relators every Presentation built during
+    # the fold checks: linear in the number of blocks when the presentation
+    # is built once, quadratic when each step rebuilds the accumulated one.
+    cfgs = {n: z2_lines(n, closed=False) for n in (100, 400)}
+    checked = [0]
+    original = Presentation.__post_init__
+
+    def counting(self):
+        checked[0] += len(self.generators) + len(self.relations)
+        original(self)
+
+    monkeypatch.setattr(Presentation, "__post_init__", counting)
+    cost = {}
+    for n, cfg in cfgs.items():
+        checked[0] = 0
+        assemble_recursive(cfg)
+        cost[n] = checked[0]
+    assert cost[400] < 5 * cost[100]
+
+
+@pytest.mark.parametrize("node,namespace", [
+    ("Z2", "X1"),    # a later block reuses an earlier block's namespace
+    ("X3", "F@Z2"),  # a block's own namespace is its conjugator namespace
+])
+def test_recursive_rejects_namespace_collisions(node, namespace):
+    # unvalidated library input: validate_config rejects both
+    cfg = z2_lines(3, closed=True)
+    group = cyclic_presentation(namespace, 2)
+    cfg = Configuration(
+        tuple(ComponentNode(c.id, group) if c.id == node else c for c in cfg.components),
+        tuple(SingularNode(s.id, group) if s.id == node else s for s in cfg.singulars),
+        cfg.edges)
+    with pytest.raises(ValueError, match="namespace collision"):
+        assemble_recursive(cfg)

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from devissage import (ConfigParseError, GenId, emit_config, hom_count,
                        parse_config_text, symmetric)
@@ -259,6 +266,17 @@ def test_exit_two_on_invalid_config(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_invalid_config_prints_one_line(tmp_path, capsys):
+    doc = json.loads(NODAL)
+    doc["components"].append({"id": "X1", "group": {
+        "kind": "presentation", "generators": ["a"], "relations": [["a", "a"]]}})
+    path = write(tmp_path, "c.json", json.dumps(doc))
+    assert main([path]) == 2
+    # duplicate id 'X1', then psi targets that are not the first X1's group
+    err = capsys.readouterr().err
+    assert err == "devissage: invalid configuration: duplicate id 'X1' (and 2 more)\n"
+
+
 def test_exit_two_on_disconnected_config(tmp_path, capsys):
     doc = {
         "components": [{"id": "X1", "group": {"kind": "trivial"}},
@@ -287,8 +305,9 @@ def test_exit_three_on_verification_mismatch(tmp_path, monkeypatch, capsys):
                         lambda pres, d: 999)
     path = write(tmp_path, "c.json", NODAL)
     assert main([path, "--verify", "--max-degree", "2"]) == 3
-    doc = json.loads(capsys.readouterr().out)
-    assert not doc["verification"]["census_vs_reps"]["passed"]
+    out, err = capsys.readouterr()
+    assert not json.loads(out)["verification"]["census_vs_reps"]["passed"]
+    assert err.startswith("devissage: verification failed") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("error", [RecursionError("maximum recursion depth exceeded"),
@@ -306,6 +325,18 @@ def test_exit_two_on_failed_computation(tmp_path, monkeypatch, capsys, error):
     assert err == f"devissage: error: {error}\n"
 
 
+def test_high_rank_trivial_group_exits_zero(tmp_path, capsys):
+    # the fingerprint search used to recurse once per generator
+    names = [f"a{i}" for i in range(1100)]
+    doc = {"components": [{"id": "X1", "group": {
+               "kind": "presentation", "generators": names,
+               "relations": [[name] for name in names]}}],
+           "singulars": [], "edges": []}
+    assert main([write(tmp_path, "c.json", json.dumps(doc))]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["fingerprints"]["direct"] == {"Z2": 1, "Z3": 1, "S3": 1}
+
+
 def test_cli_discreteness_flag(tmp_path):
     cfg_path = write(tmp_path, "c.json", NODAL)
     verdicts = write(tmp_path, "v.json", json.dumps({"X1": "not-discrete"}))
@@ -314,3 +345,71 @@ def test_cli_discreteness_flag(tmp_path):
                  "--report", str(report_path)]) == 0
     doc = json.loads(report_path.read_text())
     assert doc["discreteness"]["overall"] == "not-discrete"
+
+
+# --- fuzzing -----------------------------------------------------------------
+
+CONFIG_DOCS = [json.loads(path.read_text()) for path in
+               sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))]
+
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5),
+    st.sampled_from(["", "X1", "Z1", "e1", "a", "-a", "b", "g0", "trivial",
+                     "presentation", "finite"]),
+    st.lists(st.integers(-1, 3), max_size=4),
+    st.lists(st.sampled_from(["a", "-a", "b", "g0", "X1"]), max_size=3),
+    st.just({}), st.just({"kind": "trivial"}))
+
+
+def _paths(node, prefix=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw) -> str:
+    """One of configs/*.json with one to three values replaced or deleted
+    or list entries duplicated, and now and then cut short."""
+    doc = copy.deepcopy(draw(st.sampled_from(CONFIG_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        node = doc
+        for step in parents:
+            node = node[step]
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace":
+            node[key] = draw(FUZZ_VALUES)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, copy.deepcopy(node[key]))
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(deadline=None, max_examples=60)
+@given(mutated_configs())
+def test_mutated_configs_exit_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([path, "--verify", "--max-degree", "2"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") == (1 if code else 0)

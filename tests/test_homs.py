@@ -58,6 +58,28 @@ def test_enumeration_deterministic_order():
     assert [h.images for h in first] == [h.images for h in second]
 
 
+@pytest.mark.parametrize("name", sorted(full_corpus()))
+def test_enumeration_order_matches_naive_reference(name):
+    # enumerate_homs is the oracle of every hom count: its order is the
+    # product order of the probe's elements, generators in listed order
+    from reference import naive_homs
+    pres = assemble_direct(full_corpus()[name]).presentation
+    index = {g: i for i, g in enumerate(pres.generators)}
+    relators = [[(index[g], s) for g, s in w.letters] for w in pres.relations]
+    for probe in (symmetric(3), cyclic(4)):
+        assert [tuple(img for _, img in h.images)
+                for h in enumerate_homs(pres, probe)] == \
+            naive_homs(len(pres.generators), relators, probe.elements)
+
+
+def test_fingerprint_of_high_rank_does_not_recurse():
+    # one search level per generator used to exceed the default recursion limit
+    gens = tuple(GenId("t", i) for i in range(1100))
+    pres = Presentation(gens, tuple(gen(g) for g in gens))
+    probes = (symmetric(2), cyclic(3), symmetric(3))
+    assert fingerprint(pres, probes).counts == (1, 1, 1)
+
+
 def test_free_product_hom_counts_multiply_over_probes():
     p, q = Z2, cyclic_presentation("b", 3)
     pq = free_product(p, q)

@@ -1,20 +1,23 @@
 """Randomized configurations: the dual-route checks as properties.
 
 Hypothesis builds small connected configurations with random topology and
-random small node groups; the census must match the assembled
+random small node groups, glued along trivial edges or along cyclic edge
+groups with random homomorphisms; the census must match the assembled
 presentation's transitive-action count at every degree, whichever assembly
 route produced the presentation.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from hypothesis import assume, given, settings, strategies as st
 
-from devissage import (ComponentNode, Configuration, SingularNode,
-                       assemble_direct, assemble_recursive, build_graph,
+from devissage import (ComponentNode, Configuration, Edge, SingularNode,
+                       Word, assemble_direct, assemble_recursive, build_graph,
                        count_transitive_actions, cyclic_presentation,
-                       enumerate_tuples, fingerprint, is_connected, symmetric,
-                       trivial_presentation, validate_config)
+                       enumerate_tuples, fingerprint, hom, is_connected,
+                       symmetric, trivial_presentation, validate_config)
 from devissage.corpus import trivial_edge
 
 
@@ -39,6 +42,62 @@ def configurations(draw):
             comp = comps[draw(st.integers(0, n_comps - 1))]
             edges.append(trivial_edge(f"e{j}_{k}", comp, sing))
     return Configuration(comps, sings, tuple(edges))
+
+
+def power_of_generator(draw, source_order: int, target):
+    """A nontrivial word a^k in the cyclic ``target`` (unless it is trivial)
+    that a generator of order ``source_order`` may map to: the order of a
+    divides k * source_order."""
+    if not target.generators:
+        return Word()
+    n = len(target.relations[0])
+    step = n // gcd(n, source_order)
+    k = draw(st.sampled_from(range(step, n, step)))
+    return Word(((target.generators[0], 1),) * k)
+
+
+@st.composite
+def equivariant_configurations(draw):
+    """Cyclic node groups glued along Z/2 and Z/4 edge groups, with psi and
+    phi drawn among the nontrivial homomorphisms where one exists.  Each
+    singular has one or two edges (more make the counters slow at degree 3).
+    Two components and two singulars that each meet both are drawn often:
+    then the recursive route's second block shares two components."""
+    n_comps = draw(st.sampled_from([1, 2, 2]))
+    n_sings = draw(st.sampled_from([1, 2, 2]))
+    comps = tuple(
+        ComponentNode(f"X{i}", group_for(f"X{i}", draw(st.sampled_from([1, 2, 4]))))
+        for i in range(1, n_comps + 1))
+    sings = tuple(
+        SingularNode(f"Z{j}", group_for(f"Z{j}", draw(st.sampled_from([1, 2, 4]))))
+        for j in range(1, n_sings + 1))
+    edges = []
+    for j, sing in enumerate(sings):
+        targets = draw(st.sampled_from(
+            [(0,), (0, 0), (0, 1), (0, 1), (0, 1), (1,), (1, 1), (1, 0)]
+            if n_comps == 2 else [(0,), (0, 0)]))
+        for k, comp in enumerate(comps[t] for t in targets):
+            eid = f"e{j}_{k}"
+            order = draw(st.sampled_from([2, 4]))
+            group = cyclic_presentation(eid, order)
+            c = group.generators[0]
+            psi = hom(group, comp.group, {c: power_of_generator(draw, order, comp.group)})
+            phi = hom(group, sing.group, {c: power_of_generator(draw, order, sing.group)})
+            edges.append(Edge(eid, comp.id, sing.id, group, psi, phi))
+    return Configuration(comps, sings, tuple(edges))
+
+
+@settings(deadline=None, max_examples=100)
+@given(equivariant_configurations())
+def test_census_equals_both_counters_on_equivariant_configs(cfg):
+    assume(is_connected(build_graph(cfg)))
+    assert validate_config(cfg) == []
+    direct = assemble_direct(cfg).presentation
+    recursive = assemble_recursive(cfg).presentation
+    for d in (1, 2, 3):
+        assert len(enumerate_tuples(cfg, d)) == \
+            count_transitive_actions(direct, d) == \
+            count_transitive_actions(recursive, d)
 
 
 @settings(deadline=None, max_examples=40)
