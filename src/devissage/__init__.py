@@ -13,7 +13,7 @@ from .presentations import (Presentation, free_presentation,
                             free_product, add_relations, rename_namespaces)
 from .perms import (Perm, PermGroupTarget, symmetric, cyclic, compose,
                     inverse_perm, identity_perm, is_transitive)
-from .homs import (Hom, hom, Fingerprint, eval_word, map_word, verify_hom,
+from .homs import (Hom, hom, Fingerprint, eval_word, verify_hom,
                    pullback, enumerate_homs, hom_count, fingerprint,
                    count_transitive_actions)
 from .vankampen import (Interface, VKInput, IsoWitness, ConjugatorGroup,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .configuration import (Configuration, DisconnectedError, build_graph,
                             is_connected, spanning_tree, subconfiguration)
 from .presentations import Presentation
-from .words import GenId, Word, gen, reduce_word
+from .words import GenId, Word, gen
 
 __all__ = [
     "Origin",
@@ -109,8 +109,7 @@ def assemble_direct(cfg: Configuration, root: str | None = None) -> AssemblyResu
             conj = Word()
         for a, psi_a in e.psi.images:
             phi_a = e.phi.image(a)
-            rels.append(reduce_word(
-                psi_a.inverse() * conj.inverse() * phi_a * conj))
+            rels.append(psi_a.inverse() * conj.inverse() * phi_a * conj)
     pres = Presentation(tuple(gens), tuple(rels),
                         notes=("edge relations imposed on edge-group generators only",))
     return AssemblyResult(pres, dictionary, "direct", tree=tree, root=root)
@@ -230,7 +229,7 @@ def assemble_recursive(cfg: Configuration) -> AssemblyResult:
         rels += (Word(tuple((copies.get(g, g), s) for g, s in w.letters))
                  for w in right.presentation.relations)
         for cid, v in zip(shared, [Word()] + [gen(x) for x in conjugators]):
-            rels += (reduce_word(gen(g, -1) * v.inverse() * gen(copies[g]) * v)
+            rels += (gen(g, -1) * v.inverse() * gen(copies[g]) * v
                      for g in cfg.component(cid).group.generators)
         dictionary.update((x, Origin("conjugator", cid, detail=last))
                           for x, cid in zip(conjugators, shared[1:]))

@@ -5,8 +5,9 @@ the fundamental-group presentation (directly, and recursively when there is
 more than one singular locus), optionally cross-verifies the assembly
 against the cover census, and writes one JSON report.
 
-Exit codes: 0 ok, 1 usage or parse error, 2 semantic/validation error or a
-computation that failed (such as a recursion limit), 3 verification mismatch.
+Exit codes: 0 ok, 1 usage or parse error or a file that cannot be read or
+written, 2 semantic/validation error or a computation that failed (such as a
+recursion limit), 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -67,12 +68,9 @@ def _build_parser() -> _Parser:
                         help="cover census depth for --verify (default 4)")
     parser.add_argument("--verify", action="store_true",
                         help="cross-check the assembly against the cover census")
-    parser.add_argument("--method", choices=("direct", "recursive", "both"),
-                        default=None,
-                        help="assembly route (default: both when there are "
-                             "two or more singulars); recursive reports the "
-                             "same as both, since --verify and --discreteness "
-                             "need the direct route's spanning tree")
+    parser.add_argument("--method", choices=("direct", "both"), default="both",
+                        help="assembly routes: direct alone, or also recursive "
+                             "when there are two or more singulars (default both)")
     parser.add_argument("--probes", default=DEFAULT_PROBES, metavar="LIST",
                         help=f"fingerprint probe groups (default {DEFAULT_PROBES})")
     parser.add_argument("--report", default=None, metavar="PATH",
@@ -86,7 +84,7 @@ def _build_parser() -> _Parser:
 
 
 def run(cfg: Configuration, *, max_degree: int = 4, verify: bool = False,
-        method: str | None = None, probes: tuple[PermGroupTarget, ...] | None = None,
+        method: str = "both", probes: tuple[PermGroupTarget, ...] | None = None,
         restrictions: dict[str, str] | None = None,
         timings: bool = False) -> tuple[dict, bool]:
     """Assemble, fingerprint, optionally verify; returns (report, all passed)."""
@@ -108,11 +106,8 @@ def run(cfg: Configuration, *, max_degree: int = 4, verify: bool = False,
         "rank": free_rank(cfg),
     }
 
-    m = len(cfg.singulars)
-    if method is None:
-        method = "both" if m >= 2 else "direct"
     results = {"direct": phase("assemble_direct", lambda: assemble_direct(cfg))}
-    if m >= 2 and method in ("recursive", "both"):
+    if len(cfg.singulars) >= 2 and method == "both":
         results["recursive"] = phase("assemble_recursive",
                                      lambda: assemble_recursive(cfg))
 
@@ -162,6 +157,10 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError:
         print(f"devissage: error: no such file: {args.config}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"devissage: error: cannot read {args.config}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     except ConfigSemanticError as exc:
         print(f"devissage: invalid configuration: {exc}", file=sys.stderr)
         return 2
@@ -204,8 +203,13 @@ def main(argv: list[str] | None = None) -> int:
 
     text = render_report(report)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"devissage: error: cannot write {args.report}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     if not passed:

@@ -25,7 +25,8 @@ from .assembly import AssemblyResult, free_edge_generator
 from .configuration import (Configuration, DisconnectedError, build_graph,
                             is_connected)
 from .homs import Hom, count_transitive_actions, eval_word, hom
-from .perms import (Perm, compose, identity_perm, inverse_perm, symmetric)
+from .perms import (Perm, compose, identity_perm, inverse_perm, is_perm,
+                    symmetric)
 from .presentations import Presentation
 from .words import GenId
 
@@ -63,27 +64,32 @@ class TupleIso:
     singular_maps: dict[str, Perm]
 
 
+_KIND_NAMES = {"c": "component", "s": "singular"}
+
+
+def _nodes(cfg: Configuration, t: DescentTuple):
+    """``(kind, node, t's fibers of that kind)`` for every component, then
+    every singular; kind is "c" or "s", the keys ``_transports`` uses."""
+    for c in cfg.components:
+        yield "c", c, t.component_fibers
+    for s in cfg.singulars:
+        yield "s", s, t.singular_fibers
+
+
 def is_tuple_iso(cfg: Configuration, source: DescentTuple,
                  target: DescentTuple, iso: TupleIso) -> bool:
     """True iff the per-fiber bijections commute with every action and
     every gluing."""
-    for c in cfg.components:
-        size, action = source.component_fibers[c.id]
-        tsize, taction = target.component_fibers[c.id]
-        alpha = iso.component_maps.get(c.id)
-        if alpha is None or size != tsize or sorted(alpha) != list(range(size)):
+    targets = {"c": target.component_fibers, "s": target.singular_fibers}
+    maps = {"c": iso.component_maps, "s": iso.singular_maps}
+    for kind, node, fibers in _nodes(cfg, source):
+        size, action = fibers[node.id]
+        tsize, taction = targets[kind][node.id]
+        alpha = maps[kind].get(node.id)
+        if alpha is None or size != tsize or not is_perm(alpha, size):
             return False
-        for g in c.group.generators:
+        for g in node.group.generators:
             if compose(alpha, action[g]) != compose(taction[g], alpha):
-                return False
-    for s in cfg.singulars:
-        size, action = source.singular_fibers[s.id]
-        tsize, taction = target.singular_fibers[s.id]
-        beta = iso.singular_maps.get(s.id)
-        if beta is None or size != tsize or sorted(beta) != list(range(size)):
-            return False
-        for g in s.group.generators:
-            if compose(beta, action[g]) != compose(taction[g], beta):
                 return False
     for e in cfg.edges:
         alpha = iso.component_maps[e.component]
@@ -98,7 +104,7 @@ def _action_violations(label: str, group: Presentation, fiber: Fiber) -> list[st
     problems = []
     for g in group.generators:
         p = action.get(g)
-        if p is None or len(p) != size or sorted(p) != list(range(size)):
+        if p is None or not is_perm(p, size):
             problems.append(f"{label}: image of {g} is not a permutation of the fiber")
             return problems
     for i, rel in enumerate(group.relations):
@@ -110,18 +116,12 @@ def _action_violations(label: str, group: Presentation, fiber: Fiber) -> list[st
 def validate_tuple(cfg: Configuration, t: DescentTuple) -> list[str]:
     """Relator satisfaction of every action, edge equivariance of every gluing."""
     problems: list[str] = []
-    for c in cfg.components:
-        if c.id not in t.component_fibers:
-            problems.append(f"missing component fiber {c.id}")
+    for kind, node, fibers in _nodes(cfg, t):
+        if node.id not in fibers:
+            problems.append(f"missing {_KIND_NAMES[kind]} fiber {node.id}")
             continue
-        problems += _action_violations(f"component {c.id}", c.group,
-                                       t.component_fibers[c.id])
-    for s in cfg.singulars:
-        if s.id not in t.singular_fibers:
-            problems.append(f"missing singular fiber {s.id}")
-            continue
-        problems += _action_violations(f"singular {s.id}", s.group,
-                                       t.singular_fibers[s.id])
+        problems += _action_violations(f"{_KIND_NAMES[kind]} {node.id}",
+                                       node.group, fibers[node.id])
     extra = (set(t.component_fibers) - {c.id for c in cfg.components}) \
         | (set(t.singular_fibers) - {s.id for s in cfg.singulars}) \
         | (set(t.gluings) - {e.id for e in cfg.edges})
@@ -133,7 +133,7 @@ def validate_tuple(cfg: Configuration, t: DescentTuple) -> list[str]:
         lam = t.gluings.get(e.id)
         csize, caction = t.component_fibers[e.component]
         ssize, saction = t.singular_fibers[e.singular]
-        if lam is None or len(lam) != csize or sorted(lam) != list(range(ssize)):
+        if lam is None or len(lam) != csize or not is_perm(lam, ssize):
             problems.append(f"edge {e.id}: gluing is not a bijection between the fibers")
             continue
         for a in e.group.generators:
@@ -147,13 +147,8 @@ def validate_tuple(cfg: Configuration, t: DescentTuple) -> list[str]:
 def tuple_components(cfg: Configuration, t: DescentTuple) -> tuple[frozenset, ...]:
     """Finest partition of the disjoint union of fibers closed under all
     actions and gluings; the cover is connected iff there is one block."""
-    points: list[tuple[str, str, int]] = []
-    for c in cfg.components:
-        size, _ = t.component_fibers[c.id]
-        points += [("c", c.id, x) for x in range(size)]
-    for s in cfg.singulars:
-        size, _ = t.singular_fibers[s.id]
-        points += [("s", s.id, x) for x in range(size)]
+    points = [(kind, node.id, x) for kind, node, fibers in _nodes(cfg, t)
+              for x in range(fibers[node.id][0])]
     index = {pt: i for i, pt in enumerate(points)}
     parent = list(range(len(points)))
 
@@ -168,16 +163,11 @@ def tuple_components(cfg: Configuration, t: DescentTuple) -> tuple[frozenset, ..
         if ra != rb:
             parent[ra] = rb
 
-    for c in cfg.components:
-        size, action = t.component_fibers[c.id]
+    for kind, node, fibers in _nodes(cfg, t):
+        size, action = fibers[node.id]
         for p in action.values():
             for x in range(size):
-                union(index[("c", c.id, x)], index[("c", c.id, p[x])])
-    for s in cfg.singulars:
-        size, action = t.singular_fibers[s.id]
-        for p in action.values():
-            for x in range(size):
-                union(index[("s", s.id, x)], index[("s", s.id, p[x])])
+                union(index[(kind, node.id, x)], index[(kind, node.id, p[x])])
     for e in cfg.edges:
         lam = t.gluings[e.id]
         for x in range(len(lam)):
@@ -220,11 +210,14 @@ class _Structure:
         self.edge_comp = []
         self.edge_sing = []
         self.edge_constraints = []
-        for e in cfg.edges:
+        self.edges_at_fiber: list[list[int]] = [[] for _ in self.fiber_names]
+        for ei, e in enumerate(cfg.edges):
             cf = self.fiber_of[("c", e.component)]
             sf = self.fiber_of[("s", e.singular)]
             self.edge_comp.append(cf)
             self.edge_sing.append(sf)
+            self.edges_at_fiber[cf].append(ei)
+            self.edges_at_fiber[sf].append(ei)
             constraints = []
             for a in e.group.generators:
                 psi_path = tuple((self.slot_of[cf][g], s)
@@ -234,28 +227,9 @@ class _Structure:
                 constraints.append((psi_path, phi_path))
             self.edge_constraints.append(constraints)
 
-        nf = len(self.fiber_names)
-        # Scan moves per fiber, in a fixed order: generator slots first, then
-        # incident edges in listed order (forward from components, backward
-        # from singulars).  The same order drives the comparison in _is_least.
-        self.moves: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
-        self.edges_at_fiber: list[list[int]] = [[] for _ in range(nf)]
-        for f in range(nf):
-            self.moves[f] = [(0, sl) for sl in range(len(self.gen_ids[f]))]
-        for ei in range(len(cfg.edges)):
-            self.moves[self.edge_comp[ei]].append((1, ei))
-            self.moves[self.edge_sing[ei]].append((2, ei))
-            self.edges_at_fiber[self.edge_comp[ei]].append(ei)
-            self.edges_at_fiber[self.edge_sing[ei]].append(ei)
-        # The fiber each move lands in, parallel to self.moves.
-        self.move_targets = [
-            [f if kind == 0 else self.edge_sing[idx] if kind == 1
-             else self.edge_comp[idx] for kind, idx in self.moves[f]]
-            for f in range(nf)]
 
-
-def _scan(st: _Structure, d: int, emit) -> None:
-    """Enumerate connected degree-d tuples, one labelled pointed table per
+def _scan(st: _Structure, d: int):
+    """Yield connected degree-d tuples, one labelled pointed table per
     (tuple, base point in the root fiber) pair, up to isomorphism.
 
     Points of each fiber are labelled in the order a fixed breadth-first
@@ -268,10 +242,10 @@ def _scan(st: _Structure, d: int, emit) -> None:
     memory rather than by the interpreter's recursion limit.  Each frame
     is one choice point: the queue position and move index of an unset
     entry, the last label tried there, the target fiber's point count on
-    entry and the target fiber.  ``emit(img, lam, moves)`` receives the
-    live tables, which the caller must copy to keep, and per fiber the
-    live row each move reads with the fiber it lands in (see
-    ``_is_least``).
+    entry and the target fiber.  Each complete table is yielded as
+    ``(img, lam, moves)``: the live generator and gluing tables, which the
+    caller must copy to keep, and per fiber the live row each move reads
+    with the fiber it lands in (see ``_is_least``).
     """
     nf = len(st.fiber_names)
     ne = len(st.edge_ids)
@@ -317,20 +291,17 @@ def _scan(st: _Structure, d: int, emit) -> None:
         return all(equivariant(ei) for ei in st.edges_at_fiber[f])
 
     # Every move sets fwd[p] = q and bwd[q] = p for a point p of its own
-    # fiber and a point q of the target fiber tf: a generator slot (img,
-    # pre), a forward gluing (lam, lpre) or a backward one (lpre, lam).
-    plan = []
-    for f in range(nf):
-        steps = []
-        for (kind, idx), tf in zip(st.moves[f], st.move_targets[f]):
-            if kind == 0:
-                steps.append((img[f][idx], pre[f][idx], tf, True, idx))
-            elif kind == 1:
-                steps.append((lam[idx], lpre[idx], tf, False, idx))
-            else:
-                steps.append((lpre[idx], lam[idx], tf, False, idx))
-        plan.append(steps)
-    # Per fiber, the row each move reads and its target fiber, for emit.
+    # fiber and a point q of the target fiber tf.  Per fiber the moves come
+    # in a fixed order: generator slots first (img, pre), then incident
+    # edges in listed order, forward from components (lam, lpre) and
+    # backward from singulars (lpre, lam).  The same order drives the
+    # comparison in _is_least.
+    plan = [[(img[f][sl], pre[f][sl], f, True, sl) for sl in range(len(gens))]
+            for f, gens in enumerate(st.gen_ids)]
+    for ei, (cf, sf) in enumerate(zip(st.edge_comp, st.edge_sing)):
+        plan[cf].append((lam[ei], lpre[ei], sf, False, ei))
+        plan[sf].append((lpre[ei], lam[ei], cf, False, ei))
+    # Per fiber, the row each move reads and its target fiber.
     moves = [[(fwd, tf) for fwd, _, tf, _, _ in steps] for steps in plan]
     full = nf * d  # the queue holds every labelled point exactly once
 
@@ -352,7 +323,7 @@ def _scan(st: _Structure, d: int, emit) -> None:
             mi += 1
         else:
             if len(queue) == full:
-                emit(img, lam, moves)
+                yield img, lam, moves
 
         # Undo the top frame's last choice and try its next label; pop
         # frames whose labels are exhausted.
@@ -436,20 +407,13 @@ def _is_least(d: int, moves) -> bool:
     return True
 
 
-def _census(cfg: Configuration, degree: int, accept) -> _Structure:
-    """Run the scan and pass every least table to ``accept(img, lam)``."""
+def _census_structure(cfg: Configuration, degree: int) -> _Structure:
+    """The scan's index tables, once the census is known to be defined."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if not is_connected(build_graph(cfg)):
         raise DisconnectedError("tuple census requires a connected configuration")
-    st = _Structure(cfg)
-
-    def emit(img, lam, moves):
-        if _is_least(degree, moves):
-            accept(img, lam)
-
-    _scan(st, degree, emit)
-    return st
+    return _Structure(cfg)
 
 
 def _tuple_from_tables(st: _Structure, d: int, img, lam) -> DescentTuple:
@@ -470,7 +434,7 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
     """All connected descent tuples with fibers of size exactly ``degree``,
     up to isomorphism, in a deterministic order.
 
-    The scan emits one labelled table per pointed class; a table is kept
+    The scan yields one labelled table per pointed class; a table is kept
     iff no other base point of the root fiber relabels it to a table that
     is smaller in scan order (orderly acceptance, see ``_is_least``), so
     no dictionary of canonical forms is built.  Each tuple is returned in
@@ -479,30 +443,25 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
     connected configuration every fiber of a connected tuple has the same
     size, so a single degree describes the whole cover.
     """
+    st = _census_structure(cfg, degree)
     found: list[tuple[tuple[int, ...], list, list]] = []
-
-    def accept(img, lam):
+    for img, lam, moves in _scan(st, degree):
+        if not _is_least(degree, moves):
+            continue
         new_img = [[tuple(row) for row in rows] for rows in img]
         new_lam = [tuple(row) for row in lam]
         key = tuple(x for rows in new_img for row in rows for x in row) \
             + tuple(x for row in new_lam for x in row)
         found.append((key, new_img, new_lam))
-
-    st = _census(cfg, degree, accept)
     found.sort(key=lambda entry: entry[0])
     return [_tuple_from_tables(st, degree, img, lam) for _, img, lam in found]
 
 
 def _count_tuples(cfg: Configuration, degree: int) -> int:
-    """``len(enumerate_tuples(cfg, degree))`` without building any tuple."""
-    total = 0
-
-    def accept(img, lam):
-        nonlocal total
-        total += 1
-
-    _census(cfg, degree, accept)
-    return total
+    """``len(enumerate_tuples(cfg, degree))`` without copying any table or
+    building any tuple: the number of least tables the scan yields."""
+    st = _census_structure(cfg, degree)
+    return sum(_is_least(degree, moves) for _, _, moves in _scan(st, degree))
 
 
 def _transports(cfg: Configuration, result: AssemblyResult,
@@ -540,17 +499,11 @@ def rep_of_tuple(cfg: Configuration, result: AssemblyResult,
     tau = _transports(cfg, result, t, degree)
 
     images: dict[GenId, Perm] = {}
-    for c in cfg.components:
-        _, action = t.component_fibers[c.id]
-        tr = tau[("c", c.id)]
+    for kind, node, fibers in _nodes(cfg, t):
+        _, action = fibers[node.id]
+        tr = tau[(kind, node.id)]
         tr_inv = inverse_perm(tr)
-        for g in c.group.generators:
-            images[g] = compose(tr_inv, compose(action[g], tr))
-    for s in cfg.singulars:
-        _, action = t.singular_fibers[s.id]
-        tr = tau[("s", s.id)]
-        tr_inv = inverse_perm(tr)
-        for g in s.group.generators:
+        for g in node.group.generators:
             images[g] = compose(tr_inv, compose(action[g], tr))
     tree = set(result.tree)
     for e in cfg.edges:

@@ -23,7 +23,6 @@ __all__ = [
     "hom",
     "Fingerprint",
     "eval_word",
-    "map_word",
     "verify_hom",
     "pullback",
     "enumerate_homs",
@@ -93,15 +92,6 @@ def eval_word(w: Word, images: Mapping[GenId, Perm], degree: int) -> Perm:
         p = images[g] if s > 0 else inverse_perm(images[g])
         out = compose(p, out)
     return out
-
-
-def map_word(w: Word, images: Mapping[GenId, Word]) -> Word:
-    """Substitute generator images into a word (no reduction)."""
-    parts: list[tuple[GenId, int]] = []
-    for g, s in w.letters:
-        img = images[g] if s > 0 else images[g].inverse()
-        parts.extend(img.letters)
-    return Word(tuple(parts))
 
 
 def verify_hom(h: Hom) -> bool:

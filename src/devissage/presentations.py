@@ -103,7 +103,7 @@ def add_relations(p: Presentation,
         for gid in f.generators() | g.generators():
             if gid not in known:
                 raise ValueError(f"unknown generator {gid}")
-        extra.append(reduce_word(f * g.inverse()))
+        extra.append(f * g.inverse())
     return Presentation(p.generators, p.relations + tuple(extra), notes=p.notes)
 
 

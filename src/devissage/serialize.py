@@ -254,7 +254,12 @@ def parse_config_text(text: str, source: str = "<config>") -> Configuration:
 
 def parse_config(path: str) -> Configuration:
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError(f"{path}: not UTF-8 text "
+                                   f"({exc.reason} at byte {exc.start})") from exc
+    return parse_config_text(text, source=path)
 
 
 # --- emission ----------------------------------------------------------------

@@ -124,8 +124,7 @@ def van_kampen(inp: VKInput, conj_namespace: str = "F") -> Presentation:
         v = F.v(i)
         for a, psi_a in iface.psi.images:
             phi_a = iface.phi.image(a)
-            rels.append(reduce_word(
-                psi_a.inverse() * v.inverse() * phi_a * v))
+            rels.append(psi_a.inverse() * v.inverse() * phi_a * v)
     return Presentation(tuple(gens), tuple(rels),
                         notes=("conjugation relations imposed on interface generators only",))
 
@@ -181,7 +180,7 @@ def van_kampen_forms(inp: VKInput, conj_namespace: str = "F") -> VKForms:
                 u = F.u(i, j)
                 for y in inp.right.generators:
                     yi, yj = gen(maps[i - 1][y]), gen(maps[j - 1][y])
-                    rels.append(reduce_word(u.inverse() * yi * u * yj.inverse()))
+                    rels.append(u.inverse() * yi * u * yj.inverse())
         return rels
 
     def matched_rels() -> list[Word]:
@@ -192,7 +191,7 @@ def van_kampen_forms(inp: VKInput, conj_namespace: str = "F") -> VKForms:
             for a, psi_a in iface.psi.images:
                 phi_a = iface.phi.image(a)
                 copied = Word(tuple((mapping[g], sg) for g, sg in phi_a.letters))
-                rels.append(reduce_word(psi_a.inverse() * copied))
+                rels.append(psi_a.inverse() * copied)
         return rels
 
     form_ii = Presentation(
@@ -204,11 +203,10 @@ def van_kampen_forms(inp: VKInput, conj_namespace: str = "F") -> VKForms:
         for a, psi_a in iface.psi.images:
             phi_a = iface.phi.image(a)
             if i == 1:
-                rels_iii.append(reduce_word(psi_a.inverse() * phi_a))
+                rels_iii.append(psi_a.inverse() * phi_a)
             else:
                 v = F.v(i)
-                rels_iii.append(reduce_word(
-                    psi_a.inverse() * v.inverse() * phi_a * v))
+                rels_iii.append(psi_a.inverse() * v.inverse() * phi_a * v)
     form_iii = Presentation(form_i.generators, tuple(rels_iii))
 
     form_iv = Presentation(
@@ -260,5 +258,5 @@ def amalgamated_coproduct(p: Presentation, q: Presentation,
     rels = list(p.relations) + list(q.relations)
     for x, fx in f.images:
         gx = g.image(x)
-        rels.append(reduce_word(fx * gx.inverse()))
+        rels.append(fx * gx.inverse())
     return Presentation(p.generators + q.generators, tuple(rels))

@@ -7,6 +7,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -158,6 +160,23 @@ def test_run_reports_both_methods_when_two_singulars():
     assert report["verification"]["methods_agree"]
 
 
+def test_method_direct_reports_only_the_direct_route(tmp_path, capsys):
+    path = write(tmp_path, "c.json", json.dumps(emit_config(line_cycle(2))))
+    assert main([path, "--method", "direct"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report["assemblies"]) == ["direct"]
+    assert list(report["fingerprints"]) == ["direct"]
+
+
+def test_method_both_is_the_default(tmp_path, capsys):
+    path = write(tmp_path, "c.json", json.dumps(emit_config(line_cycle(2))))
+    assert main([path, "--method", "both", "--verify", "--max-degree", "3"]) == 0
+    both = capsys.readouterr().out
+    assert main([path, "--verify", "--max-degree", "3"]) == 0
+    assert capsys.readouterr().out == both
+    assert set(json.loads(both)["assemblies"]) == {"direct", "recursive"}
+
+
 def test_discreteness_section():
     report, _ = run(nodal_cubic(), restrictions={"X1": "discrete"})
     assert report["discreteness"]["overall"] == "discrete"
@@ -256,6 +275,34 @@ def test_exit_one_on_bad_flag(tmp_path):
 
 def test_exit_one_on_missing_file():
     assert main(["/nonexistent/config.json"]) == 1
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+FILE_ERRORS = {
+    "config-is-a-directory": lambda tmp: [str(tmp)],
+    "config-not-utf8": lambda tmp: [str(_write_bytes(tmp / "c.json", b"\xff\xfe"))],
+    "report-in-missing-directory": lambda tmp: [
+        write(tmp, "c.json", NODAL), "--report", str(tmp / "missing" / "r.json")],
+    "report-is-a-directory": lambda tmp: [
+        write(tmp, "c.json", NODAL), "--report", str(tmp)],
+}
+
+
+def _write_bytes(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("argv", FILE_ERRORS.values(), ids=FILE_ERRORS.keys())
+def test_unreadable_or_unwritable_file_exits_one(tmp_path, argv):
+    # a subprocess, so that an uncaught exception shows as its traceback
+    proc = subprocess.run([sys.executable, "-m", "devissage.cli", *argv(tmp_path)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("devissage: ") and proc.stderr.count("\n") == 1
 
 
 def test_exit_two_on_invalid_config(tmp_path, capsys):

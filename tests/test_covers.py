@@ -71,6 +71,41 @@ def test_size_mismatch_reported():
     assert any("bijection" in p for p in problems)
 
 
+@pytest.mark.parametrize("components,singulars,expected", [
+    ({}, {"Z1": (2, {})}, ["missing component fiber X1"]),
+    ({"X1": (2, {})}, {}, ["missing singular fiber Z1"]),
+    ({}, {}, ["missing component fiber X1", "missing singular fiber Z1"]),
+])
+def test_missing_fibers_reported_by_kind(components, singulars, expected):
+    t = DescentTuple(components, singulars, {"e1": ID2, "e2": SWAP})
+    assert validate_tuple(nodal_cubic(), t) == expected
+
+
+def test_unexpected_entries_reported_in_sorted_order():
+    t = DescentTuple({"X1": (2, {}), "X9": (2, {})},
+                     {"Z1": (2, {}), "Z9": (2, {})},
+                     {"e1": ID2, "e2": SWAP, "e9": ID2})
+    assert validate_tuple(nodal_cubic(), t) == [
+        "unexpected entry X9", "unexpected entry Z9", "unexpected entry e9"]
+
+
+@pytest.mark.parametrize("action", [{}, {GenId("Z1", 0): (0, 0)},
+                                    {GenId("Z1", 0): (0, 1, 2)}])
+def test_non_permutation_on_singular_reported(action):
+    t = DescentTuple({"X1": (2, {GenId("X1", 0): SWAP})}, {"Z1": (2, action)},
+                     {"e1": ID2, "e2": ID2})
+    assert validate_tuple(equivariant_z2(), t) == [
+        "singular Z1: image of Z1.0 is not a permutation of the fiber"]
+
+
+def test_singular_relator_violation_reported():
+    t = DescentTuple({"X1": (3, {GenId("X1", 0): (0, 1, 2)})},
+                     {"Z1": (3, {GenId("Z1", 0): (1, 2, 0)})},
+                     {"e1": (0, 1, 2), "e2": (0, 1, 2)})
+    assert validate_tuple(equivariant_z2(), t) == [
+        "singular Z1: relator #0 does not act trivially"]
+
+
 # --- connected components ----------------------------------------------------
 
 def test_parallel_identity_gluings_disconnect():
@@ -159,11 +194,9 @@ def test_is_least_agrees_with_naive_reference(name):
     cfg = full_corpus()[name]
     st = _Structure(cfg)
     for d in range(1, 5):
-        def check(img, lam, moves):
+        for _, _, moves in _scan(st, d):
             frozen = [[(tuple(row), tf) for row, tf in fiber] for fiber in moves]
             assert _is_least(d, moves) == naive_is_least(frozen, d)
-
-        _scan(st, d, check)
 
 
 def _hall_subgroup_counts(presentation, max_degree: int) -> list[int]:
@@ -197,16 +230,7 @@ def test_scan_emits_one_table_per_subgroup_halls_formula(name, expected):
     pres = assemble_direct(cfg).presentation
     assert _hall_subgroup_counts(pres, len(expected)) == expected
     st = _Structure(cfg)
-    emitted = []
-    for d in range(1, len(expected) + 1):
-        tables = 0
-
-        def count(img, lam, moves):
-            nonlocal tables
-            tables += 1
-
-        _scan(st, d, count)
-        emitted.append(tables)
+    emitted = [sum(1 for _ in _scan(st, d)) for d in range(1, len(expected) + 1)]
     assert emitted == expected
 
 
@@ -284,6 +308,39 @@ def test_is_tuple_iso_rejects_non_commuting_maps():
     wrong = TupleIso({"X1": ID2}, {"Z1": ID2})
     assert not is_tuple_iso(cfg, u, t, wrong)
     assert is_tuple_iso(cfg, t, t, wrong)  # the identity is an automorphism
+
+
+def _z2_tuple(z_action) -> DescentTuple:
+    return DescentTuple({"X1": (3, {GenId("X1", 0): (1, 0, 2)})},
+                        {"Z1": (3, {GenId("Z1", 0): z_action})},
+                        {"e1": (0, 1, 2), "e2": (0, 1, 2)})
+
+
+@pytest.mark.parametrize("x_map,z_map,expected", [
+    ((0, 1, 2), (0, 1, 2), True),
+    ((1, 0, 2), (1, 0, 2), True),  # the swap centralizes both actions
+    ((0, 1, 2), (1, 0, 2), False),  # commutes with Z1's action, not the gluings
+    ((0, 1, 2), (0, 2, 1), False),  # does not commute with Z1's action
+    ((0, 1, 2), (0, 0, 2), False),  # singular map not a bijection
+    ((0, 1, 2), (0, 1), False),  # singular map of the wrong size
+    ((0, 0, 2), (0, 1, 2), False),  # component map not a bijection
+    ((0, 1, 2, 3), (0, 1, 2), False),  # component map of the wrong size
+])
+def test_is_tuple_iso_checks_both_node_kinds(x_map, z_map, expected):
+    t = _z2_tuple((1, 0, 2))
+    assert is_tuple_iso(equivariant_z2(), t, t,
+                        TupleIso({"X1": x_map}, {"Z1": z_map})) is expected
+
+
+def test_is_tuple_iso_rejects_missing_maps_and_size_mismatch():
+    cfg = equivariant_z2()
+    t = _z2_tuple((1, 0, 2))
+    ident = (0, 1, 2)
+    assert not is_tuple_iso(cfg, t, t, TupleIso({}, {"Z1": ident}))
+    assert not is_tuple_iso(cfg, t, t, TupleIso({"X1": ident}, {}))
+    small = DescentTuple(t.component_fibers, {"Z1": (2, {GenId("Z1", 0): SWAP})},
+                         t.gluings)
+    assert not is_tuple_iso(cfg, t, small, TupleIso({"X1": ident}, {"Z1": ident}))
 
 
 def test_cycle_image_gives_connected_tuple():
