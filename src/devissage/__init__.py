@@ -20,9 +20,8 @@ from .vankampen import (Interface, VKInput, IsoWitness, ConjugatorGroup,
                         conjugator_group, van_kampen, VKForms,
                         van_kampen_forms, amalgamated_coproduct)
 from .configuration import (ComponentNode, SingularNode, Edge, Configuration,
-                            IncidenceGraph, DisconnectedError, validate_config,
-                            build_graph, is_connected, free_rank, spanning_tree,
-                            subconfiguration)
+                            DisconnectedError, validate_config, is_connected,
+                            free_rank, spanning_tree, subconfiguration)
 from .assembly import (Origin, AssemblyResult, free_edge_generator,
                        assemble_direct, SingularBlock, split_blocks,
                        block_order, assemble_recursive)

@@ -22,8 +22,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .configuration import (Configuration, DisconnectedError, build_graph,
-                            is_connected, spanning_tree, subconfiguration)
+from .configuration import (Configuration, DisconnectedError, is_connected,
+                            spanning_tree, subconfiguration)
 from .presentations import Presentation
 from .words import GenId, Word, gen
 
@@ -83,7 +83,7 @@ def assemble_direct(cfg: Configuration, root: str | None = None) -> AssemblyResu
     every edge k and every generator a of its edge group, the relator
     psi_k(a)^-1 x_k^-1 phi_k(a) x_k  (x_k empty on tree edges).
     """
-    tree, cotree = spanning_tree(build_graph(cfg), root)
+    tree, cotree = spanning_tree(cfg, root)
     if root is None:
         root = min(c.id for c in cfg.components)
 
@@ -110,8 +110,7 @@ def assemble_direct(cfg: Configuration, root: str | None = None) -> AssemblyResu
         for a, psi_a in e.psi.images:
             phi_a = e.phi.image(a)
             rels.append(psi_a.inverse() * conj.inverse() * phi_a * conj)
-    pres = Presentation(tuple(gens), tuple(rels),
-                        notes=("edge relations imposed on edge-group generators only",))
+    pres = Presentation(tuple(gens), tuple(rels))
     return AssemblyResult(pres, dictionary, "direct", tree=tree, root=root)
 
 
@@ -127,23 +126,23 @@ class SingularBlock:
 def split_blocks(cfg: Configuration) -> tuple[SingularBlock, ...]:
     """Partition the configuration into singular-centered blocks.
 
-    Block j consists of singular j, its incident edges, and every component
-    adjacent to it.  Each block is connected (it is a star around its
-    singular) and contains no other singular; both facts are asserted.
+    Block j consists of singular j, its incident edges in listed order, and
+    every component adjacent to it, read from the configuration's
+    singular-to-edges index.  A block is a star around its singular, so it
+    is connected and meets no other singular.
     """
-    if not is_connected(build_graph(cfg)):
+    if not is_connected(cfg):
         raise DisconnectedError("assembly requires a connected configuration")
     if not cfg.singulars:
         raise ValueError("no singulars: the configuration is a single regular component")
     blocks = []
     for s in cfg.singulars:
-        sub = subconfiguration(cfg, [s.id])
-        if not sub.edges:
+        edges = [cfg.edges[i] for i in cfg._incident.get(s.id, ())]
+        if not edges:
             raise ValueError(f"singular {s.id} has no incident edges")
-        assert is_connected(build_graph(sub)) and len(sub.singulars) == 1
         blocks.append(SingularBlock(s.id,
-                                    tuple(sorted({e.component for e in sub.edges})),
-                                    tuple(e.id for e in sub.edges)))
+                                    tuple(sorted({e.component for e in edges})),
+                                    tuple(e.id for e in edges)))
     return tuple(blocks)
 
 
@@ -238,6 +237,4 @@ def assemble_recursive(cfg: Configuration) -> AssemblyResult:
                 origin = Origin("component", origin.node, detail=f"copy@{last}")
             dictionary[copies.get(g, g)] = origin
         covered.update(block.components)
-    pres = Presentation(tuple(gens), tuple(rels),
-                        notes=("conjugation relations imposed on interface generators only",))
-    return AssemblyResult(pres, dictionary, "recursive")
+    return AssemblyResult(Presentation(tuple(gens), tuple(rels)), dictionary, "recursive")

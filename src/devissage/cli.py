@@ -18,8 +18,8 @@ import sys
 import time
 
 from .assembly import assemble_direct, assemble_recursive
-from .configuration import (Configuration, DisconnectedError, build_graph,
-                            free_rank, is_connected, validate_config)
+from .configuration import (Configuration, DisconnectedError, free_rank,
+                            is_connected, validate_config)
 from .covers import equivalence_report
 from .discreteness import Verdict, discreteness_verdict
 from .homs import fingerprint
@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
         print(f"devissage: invalid configuration: {problems[0]}{more}", file=sys.stderr)
         return 2
-    if not is_connected(build_graph(cfg)):
+    if not is_connected(cfg):
         print("devissage: invalid configuration: incidence graph is not connected",
               file=sys.stderr)
         return 2

@@ -5,7 +5,8 @@ A configuration records the connected pieces of the normalization
 one edge per connected piece of the preimage of the singular locus, each
 edge carrying a group with maps psi (into its component's group) and phi
 (into its singular's group).  The incidence graph is bipartite with
-multi-edges; its spanning trees drive all base-point choices downstream.
+multi-edges; it is read from the configuration's edge list, not stored, and
+its spanning trees drive all base-point choices downstream.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ __all__ = [
     "SingularNode",
     "Edge",
     "Configuration",
-    "IncidenceGraph",
     "DisconnectedError",
     "validate_config",
-    "build_graph",
     "is_connected",
     "free_rank",
     "spanning_tree",
@@ -167,49 +166,25 @@ def validate_config(cfg: Configuration) -> list[str]:
     return errors
 
 
-@dataclass(frozen=True)
-class IncidenceGraph:
-    """Bipartite multigraph: component vertices vs singular vertices."""
+def _bfs(cfg: Configuration, root: str) -> tuple[list[str], set[tuple[str, str]]]:
+    """Breadth-first search of the incidence graph from component ``root``:
+    tree edges in discovery order plus the set of visited vertices.
 
-    component_ids: tuple[str, ...]
-    singular_ids: tuple[str, ...]
-    edges: tuple[tuple[str, str, str], ...]  # (edge id, component id, singular id)
-
-    @cached_property
-    def vertex_count(self) -> int:
-        return len(self.component_ids) + len(self.singular_ids)
-
-    @cached_property
-    def adjacency(self) -> dict[tuple[str, str], list[tuple[str, tuple[str, str]]]]:
-        """Vertex -> [(edge id, other vertex)] in listed edge order, built
-        once; vertices are ("c", component id) and ("s", singular id)."""
-        adjacency: dict[tuple[str, str], list[tuple[str, tuple[str, str]]]] = {}
-        for eid, cid, sid in self.edges:
-            adjacency.setdefault(("c", cid), []).append((eid, ("s", sid)))
-            adjacency.setdefault(("s", sid), []).append((eid, ("c", cid)))
-        return adjacency
-
-    def betti(self) -> int:
-        """First Betti number E - V + 1 of a connected graph."""
-        return len(self.edges) - self.vertex_count + 1
-
-
-def build_graph(cfg: Configuration) -> IncidenceGraph:
-    return IncidenceGraph(
-        tuple(c.id for c in cfg.components),
-        tuple(s.id for s in cfg.singulars),
-        tuple((e.id, e.component, e.singular) for e in cfg.edges),
-    )
-
-
-def _bfs(graph: IncidenceGraph, root: str) -> tuple[list[str], set[tuple[str, str]]]:
-    """Tree edges in discovery order plus the set of visited vertices."""
+    The graph is bipartite with multi-edges; its vertices are ("c",
+    component id) and ("s", singular id), and each vertex's edges are
+    explored in listed order.  The adjacency is built for this call only,
+    so it never outlives the search.
+    """
+    adjacency: dict[tuple[str, str], list[tuple[str, tuple[str, str]]]] = {}
+    for e in cfg.edges:
+        adjacency.setdefault(("c", e.component), []).append((e.id, ("s", e.singular)))
+        adjacency.setdefault(("s", e.singular), []).append((e.id, ("c", e.component)))
     start = ("c", root)
     visited = {start}
     queue = [start]
     tree: list[str] = []
     for vertex in queue:  # the queue grows while it is read
-        for eid, other in graph.adjacency.get(vertex, ()):
+        for eid, other in adjacency.get(vertex, ()):
             if other not in visited:
                 visited.add(other)
                 tree.append(eid)
@@ -217,11 +192,13 @@ def _bfs(graph: IncidenceGraph, root: str) -> tuple[list[str], set[tuple[str, st
     return tree, visited
 
 
-def is_connected(graph: IncidenceGraph) -> bool:
-    if not graph.component_ids:
+def is_connected(cfg: Configuration) -> bool:
+    """Whether the incidence graph is connected: a search from the least
+    component reaches every listed component and singular."""
+    if not cfg.components:
         return False
-    _, visited = _bfs(graph, min(graph.component_ids))
-    return len(visited) == graph.vertex_count
+    _, visited = _bfs(cfg, min(c.id for c in cfg.components))
+    return len(visited) == len(cfg.components) + len(cfg.singulars)
 
 
 def free_rank(cfg: Configuration) -> int:
@@ -230,29 +207,29 @@ def free_rank(cfg: Configuration) -> int:
     This is the rank of the free factor contributed by the gluing pattern
     alone, and equals the incidence graph's first Betti number.
     """
-    graph = build_graph(cfg)
-    if not is_connected(graph):
+    if not is_connected(cfg):
         raise DisconnectedError("free rank requires a connected configuration")
     return len(cfg.edges) - len(cfg.singulars) - len(cfg.components) + 1
 
 
-def spanning_tree(graph: IncidenceGraph,
+def spanning_tree(cfg: Configuration,
                   root: str | None = None) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Deterministic spanning tree: breadth-first from ``root`` (default the
-    lexicographically least component), edges explored in listed order.
+    """Deterministic spanning tree of the incidence graph: breadth-first
+    from component ``root`` (default the lexicographically least component),
+    edges explored in listed order.
 
     Returns (tree edge ids in discovery order, cotree edge ids in listed
-    order); the cotree size equals the graph's first Betti number.
+    order); the cotree size equals ``free_rank(cfg)``.
     """
-    if not graph.component_ids:
+    if not cfg.components:
         raise DisconnectedError("empty graph")
     if root is None:
-        root = min(graph.component_ids)
-    elif root not in graph.component_ids:
+        root = min(c.id for c in cfg.components)
+    elif not any(c.id == root for c in cfg.components):
         raise ValueError(f"root {root!r} is not a component id")
-    tree, visited = _bfs(graph, root)
-    if len(visited) != graph.vertex_count:
+    tree, visited = _bfs(cfg, root)
+    if len(visited) != len(cfg.components) + len(cfg.singulars):
         raise DisconnectedError("graph is not connected")
     in_tree = set(tree)
-    cotree = tuple(eid for eid, _, _ in graph.edges if eid not in in_tree)
+    cotree = tuple(e.id for e in cfg.edges if e.id not in in_tree)
     return tuple(tree), cotree

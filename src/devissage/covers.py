@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assembly import AssemblyResult, free_edge_generator
-from .configuration import (Configuration, DisconnectedError, build_graph,
-                            is_connected)
+from .configuration import Configuration, DisconnectedError, is_connected
 from .homs import Hom, count_transitive_actions, eval_word, hom
 from .perms import (Perm, compose, identity_perm, inverse_perm, is_perm,
                     symmetric)
@@ -411,7 +410,7 @@ def _census_structure(cfg: Configuration, degree: int) -> _Structure:
     """The scan's index tables, once the census is known to be defined."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    if not is_connected(build_graph(cfg)):
+    if not is_connected(cfg):
         raise DisconnectedError("tuple census requires a connected configuration")
     return _Structure(cfg)
 

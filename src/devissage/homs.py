@@ -126,11 +126,12 @@ def pullback(h: Hom, via: Hom) -> Hom:
     return hom(via.source, h.target, images)
 
 
-def _indexed_relators(p: Presentation) -> tuple[dict[GenId, int], list[tuple[tuple[int, int], ...]]]:
+def _indexed_relators(p: Presentation) -> list[tuple[tuple[int, int], ...]]:
+    """The nonempty relators, each letter's generator replaced by its
+    position in ``p.generators``."""
     pos = {g: i for i, g in enumerate(p.generators)}
-    rels = [tuple((pos[g], s) for g, s in w.letters)
+    return [tuple((pos[g], s) for g, s in w.letters)
             for w in p.relations if w.letters]
-    return pos, rels
 
 
 def _iter_image_tuples(p: Presentation, g: PermGroupTarget) -> Iterator[tuple[Perm, ...]]:
@@ -145,7 +146,7 @@ def _iter_image_tuples(p: Presentation, g: PermGroupTarget) -> Iterator[tuple[Pe
     if r == 0:
         yield ()
         return
-    _, rels = _indexed_relators(p)
+    rels = _indexed_relators(p)
     by_last: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in range(r)]
     for rel in rels:
         by_last[max(i for i, _ in rel)].append(rel)
@@ -233,7 +234,7 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
     r = len(gens)
     if r == 0:
         return 1 if degree == 1 else 0
-    _, rels = _indexed_relators(p)
+    rels = _indexed_relators(p)
     # Pointwise tracing applies letters one at a time, so walk them reversed
     # to realize the left action (rightmost letter acts first).
     paths = [tuple(reversed(rel)) for rel in rels]

@@ -20,7 +20,6 @@ __all__ = [
     "compose",
     "inverse_perm",
     "is_transitive",
-    "mulclose",
     "PermGroupTarget",
     "symmetric",
     "cyclic",
@@ -66,29 +65,13 @@ def is_transitive(perms: Iterable[Perm], degree: int) -> bool:
     return len(seen) == degree
 
 
-def mulclose(gens: Iterable[Perm], degree: int) -> set[Perm]:
-    """Closure of a generating set under composition."""
-    els: set[Perm] = {identity_perm(degree)}
-    boundary = list(els)
-    gens = list(gens)
-    while boundary:
-        new = []
-        for b in boundary:
-            for g in gens:
-                c = compose(g, b)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-        boundary = new
-    return els
-
-
 @dataclass(frozen=True)
 class PermGroupTarget:
     """A finite permutation group, the universal probe for presentations.
 
-    ``elements`` is the full element list, kept sorted so enumeration order
-    is deterministic; construction checks it really is a group.
+    ``elements`` is the full element list, not a generating set: callers
+    list every element, construction sorts them so enumeration order is
+    deterministic and checks that they really form a group.
     """
 
     degree: int
@@ -112,11 +95,6 @@ class PermGroupTarget:
                 if compose(p, q) not in universe:
                     raise ValueError(f"product {p}*{q} escapes the element list")
 
-    @classmethod
-    def from_generators(cls, degree: int, gens: Iterable[Perm],
-                        name: str = "") -> "PermGroupTarget":
-        return cls(degree, tuple(mulclose(gens, degree)), name=name)
-
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -134,6 +112,8 @@ def symmetric(degree: int) -> PermGroupTarget:
 
 @lru_cache(maxsize=None)
 def cyclic(order: int) -> PermGroupTarget:
-    """Z/order acting on itself by rotation."""
-    shift = tuple((i + 1) % order for i in range(order))
-    return PermGroupTarget.from_generators(order, [shift], name=f"Z{order}")
+    """Z/order acting on itself by rotation: the ``order`` rotations
+    i -> i + k (mod order)."""
+    rotations = tuple(tuple((i + k) % order for i in range(order))
+                      for k in range(order))
+    return PermGroupTarget(order, rotations, name=f"Z{order}")

@@ -8,7 +8,7 @@ actions (see ``homs``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .words import GenId, Word, reduce_word
@@ -26,16 +26,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators plus relators; relators are stored reduced.
-
-    ``notes`` carries free-form provenance remarks (e.g. which relation
-    families were imposed on generators only); it never takes part in
-    equality.
-    """
+    """Generators plus relators; relators are stored reduced."""
 
     generators: tuple[GenId, ...]
     relations: tuple[Word, ...] = ()
-    notes: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         seen = set()
@@ -90,8 +84,7 @@ def free_product(p: Presentation, q: Presentation) -> Presentation:
     clash = p.namespaces() & q.namespaces()
     if clash:
         raise ValueError(f"namespace collision: {sorted(clash)}")
-    return Presentation(p.generators + q.generators, p.relations + q.relations,
-                        notes=p.notes + q.notes)
+    return Presentation(p.generators + q.generators, p.relations + q.relations)
 
 
 def add_relations(p: Presentation,
@@ -104,7 +97,7 @@ def add_relations(p: Presentation,
             if gid not in known:
                 raise ValueError(f"unknown generator {gid}")
         extra.append(f * g.inverse())
-    return Presentation(p.generators, p.relations + tuple(extra), notes=p.notes)
+    return Presentation(p.generators, p.relations + tuple(extra))
 
 
 def rename_namespaces(
@@ -121,5 +114,5 @@ def rename_namespaces(
         return Word(tuple((mapping[g], s) for g, s in w.letters))
 
     renamed = Presentation(tuple(mapping[g] for g in p.generators),
-                           tuple(rw(w) for w in p.relations), notes=p.notes)
+                           tuple(rw(w) for w in p.relations))
     return renamed, mapping

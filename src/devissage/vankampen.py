@@ -125,8 +125,7 @@ def van_kampen(inp: VKInput, conj_namespace: str = "F") -> Presentation:
         for a, psi_a in iface.psi.images:
             phi_a = iface.phi.image(a)
             rels.append(psi_a.inverse() * v.inverse() * phi_a * v)
-    return Presentation(tuple(gens), tuple(rels),
-                        notes=("conjugation relations imposed on interface generators only",))
+    return Presentation(tuple(gens), tuple(rels))
 
 
 @dataclass(frozen=True)
@@ -151,10 +150,11 @@ def _right_copies(inp: VKInput, s: int):
 
 
 def van_kampen_forms(inp: VKInput, conj_namespace: str = "F") -> VKForms:
-    """Build forms (i)-(iv) literally and the isomorphism witnesses to (i).
+    """Build forms (i)-(iv) and the isomorphism witnesses to (i).
 
     (ii) uses s conjugated copies of the right group; (iii) inlines the
-    first interface as an amalgam and keeps conjugators for the rest; (iv)
+    first interface as an amalgam and keeps conjugators for the rest, which
+    is form (i) itself since v_1 is empty, so (iii) is returned as (i); (iv)
     glues s amalgams over the left group and then conjugates the copies.
     Forms (ii) and (iv) flatten to the same generator list and differ only
     in how their relation families are ordered; both treat the s interfaces
@@ -170,48 +170,35 @@ def van_kampen_forms(inp: VKInput, conj_namespace: str = "F") -> VKForms:
     copy_rels = tuple(r for c in copies for r in c.relations)
     gens_ii = inp.left.generators + copy_gens + F.presentation.generators
 
-    def conjugation_rels() -> list[Word]:
-        # u_ij^-1 [y]_i u_ij = [y]_j for every generator y of the right group
-        rels = []
-        for i in range(1, s + 1):
-            for j in range(1, s + 1):
-                if i == j:
-                    continue
-                u = F.u(i, j)
-                for y in inp.right.generators:
-                    yi, yj = gen(maps[i - 1][y]), gen(maps[j - 1][y])
-                    rels.append(u.inverse() * yi * u * yj.inverse())
-        return rels
+    # u_ij^-1 [y]_i u_ij = [y]_j for every generator y of the right group
+    conjugation_rels = []
+    for i in range(1, s + 1):
+        for j in range(1, s + 1):
+            if i == j:
+                continue
+            u = F.u(i, j)
+            for y in inp.right.generators:
+                yi, yj = gen(maps[i - 1][y]), gen(maps[j - 1][y])
+                conjugation_rels.append(u.inverse() * yi * u * yj.inverse())
 
-    def matched_rels() -> list[Word]:
-        # psi_i(a) = [phi_i(a)]_i, the i-th copy carrying phi's image
-        rels = []
-        for i, iface in enumerate(inp.interfaces, start=1):
-            mapping = maps[i - 1]
-            for a, psi_a in iface.psi.images:
-                phi_a = iface.phi.image(a)
-                copied = Word(tuple((mapping[g], sg) for g, sg in phi_a.letters))
-                rels.append(psi_a.inverse() * copied)
-        return rels
-
-    form_ii = Presentation(
-        gens_ii,
-        inp.left.relations + copy_rels + tuple(conjugation_rels()) + tuple(matched_rels()))
-
-    rels_iii = list(inp.left.relations) + list(inp.right.relations)
+    # psi_i(a) = [phi_i(a)]_i, the i-th copy carrying phi's image
+    matched_rels = []
     for i, iface in enumerate(inp.interfaces, start=1):
+        mapping = maps[i - 1]
         for a, psi_a in iface.psi.images:
             phi_a = iface.phi.image(a)
-            if i == 1:
-                rels_iii.append(psi_a.inverse() * phi_a)
-            else:
-                v = F.v(i)
-                rels_iii.append(psi_a.inverse() * v.inverse() * phi_a * v)
-    form_iii = Presentation(form_i.generators, tuple(rels_iii))
+            copied = Word(tuple((mapping[g], sg) for g, sg in phi_a.letters))
+            matched_rels.append(psi_a.inverse() * copied)
 
-    form_iv = Presentation(
-        gens_ii,
-        inp.left.relations + copy_rels + tuple(matched_rels()) + tuple(conjugation_rels()))
+    form_ii = Presentation(gens_ii, (*inp.left.relations, *copy_rels,
+                                     *conjugation_rels, *matched_rels))
+    # The amalgam relator psi_1(a)^-1 phi_1(a) of form (iii) is form (i)'s
+    # relator for the first interface, because v_1 is empty; the other
+    # interfaces keep their conjugators in both forms.  Relators are stored
+    # reduced, so the two forms coincide relator for relator.
+    form_iii = form_i
+    form_iv = Presentation(gens_ii, (*inp.left.relations, *copy_rels,
+                                     *matched_rels, *conjugation_rels))
 
     # Witnesses.  Form i <-> ii/iv: y goes to its first copy; the i-th copy
     # returns as v_i^-1 y v_i.  Form i <-> iii: the generators coincide.

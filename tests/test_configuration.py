@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from devissage import (ComponentNode, Configuration, DisconnectedError, Edge,
-                       SingularNode, Word, build_graph, cyclic_presentation,
+                       SingularNode, Word, cyclic_presentation,
                        free_rank, hom, is_connected, spanning_tree,
                        trivial_presentation, validate_config)
 from devissage.corpus import (bouquet, chain, line_cycle, nodal_cubic, star,
@@ -72,21 +72,21 @@ def test_psi_source_mismatch_detected():
 # --- graph -------------------------------------------------------------------
 
 def test_nodal_cubic_graph():
-    g = build_graph(nodal_cubic())
-    assert g.vertex_count == 2 and len(g.edges) == 2
+    g = nodal_cubic()
+    assert len(g.components) + len(g.singulars) == 2 and len(g.edges) == 2
     assert is_connected(g)
-    assert g.betti() == 1
+    assert free_rank(g) == 1
 
 
 def test_two_bare_components_disconnected():
     cfg = Configuration((ComponentNode("X1", TRIV), ComponentNode("X2", TRIV)), (), ())
-    assert not is_connected(build_graph(cfg))
+    assert not is_connected(cfg)
 
 
 def test_cycle_of_two_lines_rank_one():
-    g = build_graph(line_cycle(2))
+    g = line_cycle(2)
     assert is_connected(g)
-    assert g.betti() == 1 == free_rank(line_cycle(2))
+    assert len(g.edges) - len(g.components) - len(g.singulars) + 1 == 1 == free_rank(g)
 
 
 @pytest.mark.parametrize("cfg,expected", [
@@ -112,24 +112,24 @@ def test_free_rank_requires_connected():
 # --- spanning tree -----------------------------------------------------------
 
 def test_nodal_cubic_tree_and_cotree():
-    tree, cotree = spanning_tree(build_graph(nodal_cubic()))
+    tree, cotree = spanning_tree(nodal_cubic())
     assert tree == ("e1",) and cotree == ("e2",)
 
 
 def test_star_has_empty_cotree():
-    tree, cotree = spanning_tree(build_graph(star(4)))
+    tree, cotree = spanning_tree(star(4))
     assert len(tree) == 4 and cotree == ()
 
 
 @pytest.mark.parametrize("cfg", [nodal_cubic(), line_cycle(3), bouquet(4), chain(3)])
 def test_cotree_size_equals_rank(cfg):
-    tree, cotree = spanning_tree(build_graph(cfg))
+    tree, cotree = spanning_tree(cfg)
     assert len(cotree) == free_rank(cfg)
     assert len(tree) == len(cfg.components) + len(cfg.singulars) - 1
 
 
 def test_spanning_tree_deterministic_and_rootable():
-    g = build_graph(line_cycle(3))
+    g = line_cycle(3)
     assert spanning_tree(g) == spanning_tree(g)
     t1, c1 = spanning_tree(g, root="X2")
     assert len(c1) == 1
@@ -140,4 +140,4 @@ def test_spanning_tree_deterministic_and_rootable():
 def test_spanning_tree_disconnected_raises():
     cfg = Configuration((ComponentNode("X1", TRIV), ComponentNode("X2", TRIV)), (), ())
     with pytest.raises(DisconnectedError):
-        spanning_tree(build_graph(cfg))
+        spanning_tree(cfg)

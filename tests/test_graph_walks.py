@@ -1,0 +1,116 @@
+"""Blocks, block order and spanning trees against plain references.
+
+The references read nothing but the configuration's tuples: blocks come
+from ``subconfiguration``, the block order from the greedy rule as its
+docstring states it, and the spanning tree from a breadth-first search that
+rescans the whole edge list at every vertex.  Edge-shuffled copies make the
+edges of different singulars interleave, as ``perfbench`` relabelling does.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from devissage import (ComponentNode, Configuration, DisconnectedError,
+                       SingularBlock, assemble_direct, block_order,
+                       split_blocks, spanning_tree, subconfiguration,
+                       trivial_presentation)
+from devissage.corpus import full_corpus, line_cycle
+
+
+def reference_blocks(cfg: Configuration) -> tuple[SingularBlock, ...]:
+    blocks = []
+    for s in cfg.singulars:
+        sub = subconfiguration(cfg, [s.id])
+        blocks.append(SingularBlock(s.id,
+                                    tuple(sorted({e.component for e in sub.edges})),
+                                    tuple(e.id for e in sub.edges)))
+    return tuple(blocks)
+
+
+def reference_order(cfg: Configuration) -> tuple[str, ...]:
+    components = {b.singular: set(b.components) for b in reference_blocks(cfg)}
+    order = [min(components)]
+    covered = set(components[order[0]])
+    while len(order) < len(components):
+        nxt = min(s for s in components
+                  if s not in order and components[s] & covered)
+        order.append(nxt)
+        covered |= components[nxt]
+    return tuple(order)
+
+
+def reference_tree(cfg: Configuration, root: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    visited = {("c", root)}
+    queue = [("c", root)]
+    tree = []
+    for kind, node in queue:
+        for e in cfg.edges:
+            here, other = (((e.component, ("s", e.singular)) if kind == "c"
+                           else (e.singular, ("c", e.component))))
+            if here == node and other not in visited:
+                visited.add(other)
+                tree.append(e.id)
+                queue.append(other)
+    assert len(visited) == len(cfg.components) + len(cfg.singulars)
+    return tuple(tree), tuple(e.id for e in cfg.edges if e.id not in tree)
+
+
+def shuffled(cfg: Configuration, seed: int) -> Configuration:
+    """The same configuration with its edges and its nodes listed in a
+    seeded random order."""
+    rng = random.Random(seed)
+    parts = [list(cfg.components), list(cfg.singulars), list(cfg.edges)]
+    for part in parts:
+        rng.shuffle(part)
+    return Configuration(*map(tuple, parts))
+
+
+def cases():
+    base = dict(full_corpus())
+    base.update({f"line_cycle{n}": line_cycle(n) for n in (1, 6, 40)})
+    out = []
+    for name, cfg in base.items():
+        out.append(pytest.param(cfg, id=name))
+        out.extend(pytest.param(shuffled(cfg, seed), id=f"{name}-shuffled{seed}")
+                   for seed in (1, 2, 3))
+    return out
+
+
+@pytest.mark.parametrize("cfg", cases())
+def test_blocks_and_order_match_reference(cfg):
+    assert split_blocks(cfg) == reference_blocks(cfg)
+    assert block_order(cfg) == reference_order(cfg)
+
+
+@pytest.mark.parametrize("cfg", cases())
+def test_spanning_tree_matches_reference_from_every_root(cfg):
+    assert spanning_tree(cfg) == reference_tree(cfg, min(c.id for c in cfg.components))
+    for c in cfg.components:
+        tree, cotree = reference_tree(cfg, c.id)
+        assert spanning_tree(cfg, c.id) == (tree, cotree)
+        assert assemble_direct(cfg, c.id).tree == tree
+
+
+def test_shuffled_copies_interleave_singulars():
+    cfg = shuffled(line_cycle(6), 1)
+    singulars = [e.singular for e in cfg.edges]
+    assert singulars != sorted(singulars, key=singulars.index)
+
+
+def test_spanning_tree_error_messages():
+    cfg = line_cycle(3)
+    with pytest.raises(ValueError, match="^root 'Z1' is not a component id$"):
+        spanning_tree(cfg, root="Z1")
+    empty = Configuration((), (), ())
+    with pytest.raises(DisconnectedError, match="^empty graph$"):
+        spanning_tree(empty)
+    cut = Configuration(cfg.components + (ComponentNode("X9", trivial_presentation()),),
+                        cfg.singulars, cfg.edges)
+    with pytest.raises(DisconnectedError, match="^graph is not connected$"):
+        spanning_tree(cut)
+    with pytest.raises(DisconnectedError,
+                       match="^assembly requires a connected configuration$"):
+        split_blocks(cut)

@@ -1,7 +1,8 @@
 """Randomized configurations: the dual-route checks as properties.
 
 Hypothesis builds small connected configurations with random topology and
-random small node groups, glued along trivial edges or along cyclic edge
+random small node groups (cyclic presentations, or finite permutation groups
+read from config JSON), glued along trivial edges or along cyclic edge
 groups with random homomorphisms; the census must match the assembled
 presentation's transitive-action count at every degree, whichever assembly
 route produced the presentation.
@@ -9,15 +10,19 @@ route produced the presentation.
 
 from __future__ import annotations
 
+import json
 from math import gcd
 
 from hypothesis import assume, given, settings, strategies as st
 
+import reference
+
 from devissage import (ComponentNode, Configuration, Edge, SingularNode,
-                       Word, assemble_direct, assemble_recursive, build_graph,
+                       Word, assemble_direct, assemble_recursive,
                        count_transitive_actions, cyclic_presentation,
                        enumerate_tuples, fingerprint, hom, is_connected,
-                       symmetric, trivial_presentation, validate_config)
+                       parse_config_text, symmetric, trivial_presentation,
+                       validate_config)
 from devissage.corpus import trivial_edge
 
 
@@ -90,7 +95,7 @@ def equivariant_configurations(draw):
 @settings(deadline=None, max_examples=100)
 @given(equivariant_configurations())
 def test_census_equals_both_counters_on_equivariant_configs(cfg):
-    assume(is_connected(build_graph(cfg)))
+    assume(is_connected(cfg))
     assert validate_config(cfg) == []
     direct = assemble_direct(cfg).presentation
     recursive = assemble_recursive(cfg).presentation
@@ -103,7 +108,7 @@ def test_census_equals_both_counters_on_equivariant_configs(cfg):
 @settings(deadline=None, max_examples=40)
 @given(configurations())
 def test_census_equals_reps_on_random_configs(cfg):
-    assume(is_connected(build_graph(cfg)))
+    assume(is_connected(cfg))
     assert validate_config(cfg) == []
     res = assemble_direct(cfg)
     for d in (1, 2, 3):
@@ -114,7 +119,7 @@ def test_census_equals_reps_on_random_configs(cfg):
 @settings(deadline=None, max_examples=40)
 @given(configurations())
 def test_routes_agree_on_random_configs(cfg):
-    assume(is_connected(build_graph(cfg)))
+    assume(is_connected(cfg))
     probes = (symmetric(2), symmetric(3))
     direct = assemble_direct(cfg)
     recursive = assemble_recursive(cfg)
@@ -128,8 +133,56 @@ def test_routes_agree_on_random_configs(cfg):
 @settings(deadline=None, max_examples=30)
 @given(configurations(), st.data())
 def test_root_choice_immaterial_on_random_configs(cfg, data):
-    assume(is_connected(build_graph(cfg)))
+    assume(is_connected(cfg))
     root = data.draw(st.sampled_from([c.id for c in cfg.components]))
     probes = (symmetric(2), symmetric(3))
     assert fingerprint(assemble_direct(cfg, root=root).presentation, probes) == \
         fingerprint(assemble_direct(cfg).presentation, probes)
+
+
+@st.composite
+def finite_group_specs(draw, max_gens: int):
+    """A ``finite`` group spec on up to ``max_gens`` random permutations of
+    degree at most 4 (degree 1 gives the trivial group).  Groups of order
+    above 8 (A4, S4) are left out: the recursive route copies a shared
+    component's 13 or 25 Schreier relators, and one degree-3 count of such
+    a presentation takes seconds."""
+    degree = draw(st.integers(1, 4))
+    if degree == 1:
+        return {"kind": "trivial"}
+    perms = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=max_gens)
+                 .filter(lambda gens: len(reference.generated_elements(gens, degree)) <= 8))
+    return {"kind": "finite", "degree": degree, "generators": perms}
+
+
+@st.composite
+def finite_group_configurations(draw):
+    """Config JSON with finite node groups glued along trivial edges, parsed
+    by ``parse_config_text`` so the nodes carry Schreier presentations.
+    Components get one or two permutations, singulars one."""
+    n_comps = draw(st.integers(1, 2))
+    n_sings = draw(st.integers(1, 2))
+    edges = []
+    for j in range(1, n_sings + 1):
+        for k in range(draw(st.integers(1, 2))):
+            edges.append({"id": f"e{j}_{k}", "singular": f"Z{j}",
+                          "component": f"X{draw(st.integers(1, n_comps))}"})
+    doc = {"components": [{"id": f"X{i}", "group": draw(finite_group_specs(2))}
+                          for i in range(1, n_comps + 1)],
+           "singulars": [{"id": f"Z{j}", "group": draw(finite_group_specs(1))}
+                         for j in range(1, n_sings + 1)],
+           "edges": edges}
+    return parse_config_text(json.dumps(doc))
+
+
+@settings(deadline=None, max_examples=40)
+@given(finite_group_configurations())
+def test_census_equals_both_counters_on_finite_node_groups(cfg):
+    assume(is_connected(cfg))
+    assert validate_config(cfg) == []
+    direct = assemble_direct(cfg).presentation
+    recursive = assemble_recursive(cfg).presentation
+    for d in (1, 2, 3):
+        assert len(enumerate_tuples(cfg, d)) == \
+            count_transitive_actions(direct, d) == \
+            count_transitive_actions(recursive, d)
