@@ -192,13 +192,24 @@ def _bfs(cfg: Configuration, root: str) -> tuple[list[str], set[tuple[str, str]]
     return tree, visited
 
 
+def _reaches_all_listed(cfg: Configuration, visited: set[tuple[str, str]]) -> bool:
+    """Whether a search visited exactly the listed components and
+    singulars: as many vertices as there are listed ids, each of them
+    listed.  Counting alone would let a node reached only through an edge
+    to an unlisted id stand in for a listed node the search never reached."""
+    comp_at, sing_at, _ = cfg._index
+    return len(visited) == len(comp_at) + len(sing_at) and all(
+        node in (comp_at if kind == "c" else sing_at) for kind, node in visited)
+
+
 def is_connected(cfg: Configuration) -> bool:
     """Whether the incidence graph is connected: a search from the least
-    component reaches every listed component and singular."""
+    component reaches every listed component and singular, and nothing
+    else (an edge to an unlisted node disconnects)."""
     if not cfg.components:
         return False
     _, visited = _bfs(cfg, min(c.id for c in cfg.components))
-    return len(visited) == len(cfg.components) + len(cfg.singulars)
+    return _reaches_all_listed(cfg, visited)
 
 
 def free_rank(cfg: Configuration) -> int:
@@ -228,7 +239,7 @@ def spanning_tree(cfg: Configuration,
     elif not any(c.id == root for c in cfg.components):
         raise ValueError(f"root {root!r} is not a component id")
     tree, visited = _bfs(cfg, root)
-    if len(visited) != len(cfg.components) + len(cfg.singulars):
+    if not _reaches_all_listed(cfg, visited):
         raise DisconnectedError("graph is not connected")
     in_tree = set(tree)
     cotree = tuple(e.id for e in cfg.edges if e.id not in in_tree)

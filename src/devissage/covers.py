@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assembly import AssemblyResult, free_edge_generator
+from .census import _scan, _Structure
 from .configuration import Configuration, DisconnectedError, is_connected
 from .homs import Hom, count_transitive_actions, eval_word, hom
 from .perms import (Perm, compose, identity_perm, inverse_perm, is_perm,
@@ -178,234 +179,6 @@ def tuple_components(cfg: Configuration, t: DescentTuple) -> tuple[frozenset, ..
     return tuple(sorted((frozenset(b) for b in blocks.values()), key=min))
 
 
-class _Structure:
-    """Index tables for the scan: fibers in a fixed order, generator slots,
-    relator paths and edge constraints rewritten over slot numbers.
-
-    All letter paths are stored reversed so that pointwise tracing (first
-    path entry applied first) realizes the left action."""
-
-    def __init__(self, cfg: Configuration):
-        comps = sorted(cfg.components, key=lambda c: c.id)
-        sings = sorted(cfg.singulars, key=lambda s: s.id)
-        self.fiber_names = [("c", c.id) for c in comps] + [("s", s.id) for s in sings]
-        self.fiber_of = {name: i for i, name in enumerate(self.fiber_names)}
-        groups = [c.group for c in comps] + [s.group for s in sings]
-        self.gen_ids = [g.generators for g in groups]
-        self.slot_of = [{g: i for i, g in enumerate(gens)} for gens in self.gen_ids]
-        self.rel_by_slot: list[dict[int, list]] = []
-        for f, group in enumerate(groups):
-            slots = self.slot_of[f]
-            table: dict[int, list] = {}
-            for rel in group.relations:
-                if not rel.letters:
-                    continue
-                path = tuple((slots[g], s) for g, s in reversed(rel.letters))
-                for sl in {i for i, _ in path}:
-                    table.setdefault(sl, []).append(path)
-            self.rel_by_slot.append(table)
-
-        self.edge_ids = [e.id for e in cfg.edges]
-        self.edge_comp = []
-        self.edge_sing = []
-        self.edge_constraints = []
-        self.edges_at_fiber: list[list[int]] = [[] for _ in self.fiber_names]
-        for ei, e in enumerate(cfg.edges):
-            cf = self.fiber_of[("c", e.component)]
-            sf = self.fiber_of[("s", e.singular)]
-            self.edge_comp.append(cf)
-            self.edge_sing.append(sf)
-            self.edges_at_fiber[cf].append(ei)
-            self.edges_at_fiber[sf].append(ei)
-            constraints = []
-            for a in e.group.generators:
-                psi_path = tuple((self.slot_of[cf][g], s)
-                                 for g, s in reversed(e.psi.image(a).letters))
-                phi_path = tuple((self.slot_of[sf][g], s)
-                                 for g, s in reversed(e.phi.image(a).letters))
-                constraints.append((psi_path, phi_path))
-            self.edge_constraints.append(constraints)
-
-
-def _scan(st: _Structure, d: int):
-    """Yield connected degree-d tuples, one labelled pointed table per
-    (tuple, base point in the root fiber) pair, up to isomorphism.
-
-    Points of each fiber are labelled in the order a fixed breadth-first
-    scan from (root fiber, point 0) discovers them; a fresh label may only
-    be introduced when every smaller label of that fiber is in use, which
-    removes all per-fiber relabelling freedom.  Constraints (relators and
-    edge equivariance) prune as soon as a trace is fully determined.
-
-    The search runs on an explicit stack, so its depth is bounded by
-    memory rather than by the interpreter's recursion limit.  Each frame
-    is one choice point: the queue position and move index of an unset
-    entry, the last label tried there, the target fiber's point count on
-    entry and the target fiber.  Each complete table is yielded as
-    ``(img, lam, moves)``: the live generator and gluing tables, which the
-    caller must copy to keep, and per fiber the live row each move reads
-    with the fiber it lands in (see ``_is_least``).
-    """
-    nf = len(st.fiber_names)
-    ne = len(st.edge_ids)
-    img = [[[-1] * d for _ in st.gen_ids[f]] for f in range(nf)]
-    pre = [[[-1] * d for _ in st.gen_ids[f]] for f in range(nf)]
-    lam = [[-1] * d for _ in range(ne)]
-    lpre = [[-1] * d for _ in range(ne)]
-    counts = [0] * nf
-    queue: list[tuple[int, int]] = [(0, 0)]
-    counts[0] = 1
-
-    def trace(f: int, path, x: int) -> int:
-        for sl, s in path:
-            x = img[f][sl][x] if s > 0 else pre[f][sl][x]
-            if x < 0:
-                return -1
-        return x
-
-    def relators_ok(f: int, slot: int) -> bool:
-        for path in st.rel_by_slot[f].get(slot, ()):
-            for start in range(counts[f]):
-                x = trace(f, path, start)
-                if x >= 0 and x != start:
-                    return False
-        return True
-
-    def equivariant(ei: int) -> bool:
-        cf, sf = st.edge_comp[ei], st.edge_sing[ei]
-        row = lam[ei]
-        for psi_path, phi_path in st.edge_constraints[ei]:
-            for x in range(counts[cf]):
-                y = trace(cf, psi_path, x)
-                lhs = row[y] if y >= 0 else -1
-                u = row[x]
-                rhs = trace(sf, phi_path, u) if u >= 0 else -1
-                if lhs >= 0 and rhs >= 0 and lhs != rhs:
-                    return False
-        return True
-
-    def gen_ok(f: int, slot: int) -> bool:
-        if not relators_ok(f, slot):
-            return False
-        return all(equivariant(ei) for ei in st.edges_at_fiber[f])
-
-    # Every move sets fwd[p] = q and bwd[q] = p for a point p of its own
-    # fiber and a point q of the target fiber tf.  Per fiber the moves come
-    # in a fixed order: generator slots first (img, pre), then incident
-    # edges in listed order, forward from components (lam, lpre) and
-    # backward from singulars (lpre, lam).  The same order drives the
-    # comparison in _is_least.
-    plan = [[(img[f][sl], pre[f][sl], f, True, sl) for sl in range(len(gens))]
-            for f, gens in enumerate(st.gen_ids)]
-    for ei, (cf, sf) in enumerate(zip(st.edge_comp, st.edge_sing)):
-        plan[cf].append((lam[ei], lpre[ei], sf, False, ei))
-        plan[sf].append((lpre[ei], lam[ei], cf, False, ei))
-    # Per fiber, the row each move reads and its target fiber.
-    moves = [[(fwd, tf) for fwd, _, tf, _, _ in steps] for steps in plan]
-    full = nf * d  # the queue holds every labelled point exactly once
-
-    stack: list[list[int]] = []
-    qi = mi = 0
-    while True:
-        # Advance past assigned moves to the next choice point, or to the
-        # end of the queue, where a table with every fiber full is complete.
-        while qi < len(queue):
-            f, p = queue[qi]
-            steps = plan[f]
-            if mi == len(steps):
-                qi, mi = qi + 1, 0
-                continue
-            fwd, _, tf, _, _ = steps[mi]
-            if fwd[p] < 0:
-                stack.append([qi, mi, -1, counts[tf], tf])
-                break
-            mi += 1
-        else:
-            if len(queue) == full:
-                yield img, lam, moves
-
-        # Undo the top frame's last choice and try its next label; pop
-        # frames whose labels are exhausted.
-        while stack:
-            frame = stack[-1]
-            fqi, fmi, q, n, tf = frame
-            f, p = queue[fqi]
-            fwd, bwd, _, is_gen, idx = plan[f][fmi]
-            if q >= 0:
-                fwd[p] = bwd[q] = -1
-                if q == n:
-                    counts[tf] = n
-                    queue.pop()
-            for q in range(q + 1, min(n + 1, d)):
-                if bwd[q] >= 0:
-                    continue
-                fwd[p], bwd[q] = q, p
-                if q == n:
-                    counts[tf] = n + 1
-                    queue.append((tf, q))
-                if gen_ok(f, idx) if is_gen else equivariant(idx):
-                    break
-                fwd[p] = bwd[q] = -1
-                if q == n:
-                    counts[tf] = n
-                    queue.pop()
-            else:
-                stack.pop()
-                continue
-            frame[2] = q
-            qi, mi = fqi, fmi + 1
-            break
-        else:
-            return
-
-
-def _is_least(d: int, moves) -> bool:
-    """True iff no other base point in the root fiber relabels the table to
-    one that is smaller in scan order (orderly acceptance).
-
-    ``moves[f]`` lists, in the scan's move order, the row each move of
-    fiber f reads (a generator row, a gluing or an inverse gluing) and the
-    fiber it lands in.  A table is compared as the sequence of its entries
-    in the order ``_scan`` fills them: the points in breadth-first order
-    from (root fiber, point 0), and each point's moves in order.  A table
-    emitted by ``_scan`` is its own relabelling from base point 0.  From
-    each other seed the relabelling is built in that same order and
-    compared as it is built: the point u at queue position k carries its
-    new label p, the table's point at position k is p as long as the two
-    sequences agree, and each move compares u's relabelled image with the
-    table's entry at p.  The first difference decides the seed.  The
-    sequence determines the table, so this is a total order, and exactly
-    one emitted table per tuple class is least; accepting only those
-    deduplicates without storing anything.
-    """
-    nf = len(moves)
-    for seed in range(1, d):
-        m = [[-1] * d for _ in range(nf)]  # old label -> new label, per fiber
-        cnt = [0] * nf
-        m[0][seed] = 0
-        cnt[0] = 1
-        order = [(0, seed)]
-        for f, u in order:
-            p = m[f][u]
-            for row, tf in moves[f]:
-                mt = m[tf]
-                t = row[u]
-                new = mt[t]
-                if new < 0:
-                    new = mt[t] = cnt[tf]
-                    cnt[tf] = new + 1
-                    order.append((tf, t))
-                old = row[p]
-                if new != old:
-                    break
-            else:
-                continue
-            if new < old:
-                return False
-            break
-    return True
-
-
 def _census_structure(cfg: Configuration, degree: int) -> _Structure:
     """The scan's index tables, once the census is known to be defined."""
     if degree < 1:
@@ -433,9 +206,10 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
     """All connected descent tuples with fibers of size exactly ``degree``,
     up to isomorphism, in a deterministic order.
 
-    The scan yields one labelled table per pointed class; a table is kept
-    iff no other base point of the root fiber relabels it to a table that
-    is smaller in scan order (orderly acceptance, see ``_is_least``), so
+    The scan emits exactly the tables that no other base point of the
+    root fiber relabels to a table smaller in scan order (orderly
+    generation, see ``census._is_least``): it cuts a prefix as soon as some
+    relabelling is smaller on it, so nothing is tested at the leaves and
     no dictionary of canonical forms is built.  Each tuple is returned in
     that least labelling, and the list is sorted by the row-major key:
     generator rows by fiber and slot, then gluing rows by edge.  Over a
@@ -443,24 +217,23 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
     size, so a single degree describes the whole cover.
     """
     st = _census_structure(cfg, degree)
-    found: list[tuple[tuple[int, ...], list, list]] = []
-    for img, lam, moves in _scan(st, degree):
-        if not _is_least(degree, moves):
-            continue
+    found: list[tuple[tuple[tuple[int, ...], ...], DescentTuple]] = []
+    for img, lam, _ in _scan(st, degree):
         new_img = [[tuple(row) for row in rows] for rows in img]
         new_lam = [tuple(row) for row in lam]
-        key = tuple(x for rows in new_img for row in rows for x in row) \
-            + tuple(x for row in new_lam for x in row)
-        found.append((key, new_img, new_lam))
+        # every row has `degree` entries, so the tuple of rows sorts as the
+        # row-major entries do; the key shares its rows with the tuple
+        key = tuple(row for rows in new_img for row in rows) + tuple(new_lam)
+        found.append((key, _tuple_from_tables(st, degree, new_img, new_lam)))
     found.sort(key=lambda entry: entry[0])
-    return [_tuple_from_tables(st, degree, img, lam) for _, img, lam in found]
+    return [t for _, t in found]
 
 
 def _count_tuples(cfg: Configuration, degree: int) -> int:
     """``len(enumerate_tuples(cfg, degree))`` without copying any table or
-    building any tuple: the number of least tables the scan yields."""
+    building any tuple: the number of tables the pruned scan emits."""
     st = _census_structure(cfg, degree)
-    return sum(_is_least(degree, moves) for _, _, moves in _scan(st, degree))
+    return sum(1 for _ in _scan(st, degree))
 
 
 def _transports(cfg: Configuration, result: AssemblyResult,

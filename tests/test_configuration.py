@@ -6,7 +6,7 @@ import pytest
 
 from devissage import (ComponentNode, Configuration, DisconnectedError, Edge,
                        SingularNode, Word, cyclic_presentation,
-                       free_rank, hom, is_connected, spanning_tree,
+                       enumerate_tuples, free_rank, hom, is_connected, spanning_tree,
                        trivial_presentation, validate_config)
 from devissage.corpus import (bouquet, chain, line_cycle, nodal_cubic, star,
                               trivial_edge)
@@ -107,6 +107,26 @@ def test_free_rank_requires_connected():
     cfg = Configuration((ComponentNode("X1", TRIV), ComponentNode("X2", TRIV)), (), ())
     with pytest.raises(DisconnectedError):
         free_rank(cfg)
+
+
+def _ghost_edge(singular: str) -> Edge:
+    return Edge(f"e_{singular}", "X1", singular, TRIV,
+                hom(TRIV, TRIV, {}), hom(TRIV, TRIV, {}))
+
+
+@pytest.mark.parametrize("singulars", [("Zghost",), ("Z1", "Zghost")])
+def test_edge_to_unlisted_node_disconnects(singulars):
+    # a search that counted the vertices it reached would let Zghost stand
+    # in for the listed Z1 it never reached (or add one vertex too many)
+    cfg = Configuration((ComponentNode("X1", TRIV),), (SingularNode("Z1", TRIV),),
+                        tuple(_ghost_edge(z) for z in singulars))
+    assert not is_connected(cfg)
+    with pytest.raises(DisconnectedError):
+        free_rank(cfg)
+    with pytest.raises(DisconnectedError, match="^graph is not connected$"):
+        spanning_tree(cfg)
+    with pytest.raises(DisconnectedError):
+        enumerate_tuples(cfg, 2)
 
 
 # --- spanning tree -----------------------------------------------------------

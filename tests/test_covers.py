@@ -8,18 +8,21 @@ existed.
 from __future__ import annotations
 
 import itertools
+import random
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from devissage import (DescentTuple, GenId, TupleIso, assemble_direct,
-                       assemble_recursive, covers, enumerate_homs, enumerate_tuples,
-                       equivalence_report, hom, hom_count, is_transitive,
-                       is_tuple_iso, rep_of_tuple, symmetric,
-                       tuple_components, tuple_of_rep, validate_tuple,
-                       verify_hom)
-from devissage.covers import _Structure, _is_least, _scan, _transports
+from devissage import (Configuration, DescentTuple, GenId, TupleIso,
+                       assemble_direct, assemble_recursive, covers,
+                       enumerate_homs, enumerate_tuples, equivalence_report,
+                       hom, hom_count, is_transitive, is_tuple_iso,
+                       rep_of_tuple, symmetric, tuple_components,
+                       tuple_of_rep, validate_tuple, verify_hom)
+from devissage.census import _Structure, _is_least, _scan
+from devissage.covers import _transports
 from devissage.corpus import (bouquet, chain, equivariant_z2, full_corpus,
                               line_cycle, nodal_cubic, s3_nodal,
                               squared_interface, z2_nodal)
@@ -194,7 +197,7 @@ def test_is_least_agrees_with_naive_reference(name):
     cfg = full_corpus()[name]
     st = _Structure(cfg)
     for d in range(1, 5):
-        for _, _, moves in _scan(st, d):
+        for _, _, moves in _scan(st, d, prune=False):
             frozen = [[(tuple(row), tf) for row, tf in fiber] for fiber in moves]
             assert _is_least(d, moves) == naive_is_least(frozen, d)
 
@@ -230,8 +233,73 @@ def test_scan_emits_one_table_per_subgroup_halls_formula(name, expected):
     pres = assemble_direct(cfg).presentation
     assert _hall_subgroup_counts(pres, len(expected)) == expected
     st = _Structure(cfg)
-    emitted = [sum(1 for _ in _scan(st, d)) for d in range(1, len(expected) + 1)]
+    emitted = [sum(1 for _ in _scan(st, d, prune=False))
+               for d in range(1, len(expected) + 1)]
     assert emitted == expected
+
+
+@pytest.mark.parametrize("name,top", [
+    ("bouquet3", 5), ("bouquet4", 4), ("z2_double_bouquet", 4), ("z2_nodal", 4),
+    ("s3_nodal", 4), ("equivariant_z2", 4), ("squared_interface", 4),
+])
+def test_pruned_scan_weighted_by_automorphisms_gives_halls_formula(name, top):
+    # the pruned scan emits one table per class; a class with |Aut| = k
+    # stands for d/k pointed tables, so the weighted sum is a_d again
+    cfg = full_corpus()[name]
+    expected = _hall_subgroup_counts(assemble_direct(cfg).presentation, top)
+    st = _Structure(cfg)
+    weighted = [sum(Fraction(d, aut) for _, _, aut in _scan(st, d))
+                for d in range(1, top + 1)]
+    assert weighted == expected
+
+
+def relabelled(cfg: Configuration, seed: int) -> Configuration:
+    """An isomorphic copy: every node and edge id renamed and every list
+    shuffled, seeded.  The scan orders fibers by id and moves by edge
+    order, so the copy is scanned from another root in another order."""
+    rng = random.Random(seed)
+    ids = [x.id for part in (cfg.components, cfg.singulars, cfg.edges) for x in part]
+    new = {old: f"n{k}" for old, k in zip(ids, rng.sample(range(10 * len(ids)), len(ids)))}
+    parts = [[replace(c, id=new[c.id]) for c in cfg.components],
+             [replace(z, id=new[z.id]) for z in cfg.singulars],
+             [replace(e, id=new[e.id], component=new[e.component],
+                      singular=new[e.singular]) for e in cfg.edges]]
+    for part in parts:
+        rng.shuffle(part)
+    return Configuration(*map(tuple, parts))
+
+
+def _frozen(img, lam):
+    return (tuple(tuple(tuple(row) for row in rows) for rows in img),
+            tuple(tuple(row) for row in lam))
+
+
+def _scan_cases():
+    base = dict(full_corpus())
+    base.update({f"line_cycle{n}": line_cycle(n) for n in (6, 40)})
+    for name, cfg in base.items():
+        top = 3 if name.startswith("line_cycle") else 4
+        yield pytest.param(cfg, top, id=name)
+        for seed in (1, 2, 3):
+            yield pytest.param(relabelled(cfg, seed), top, id=f"{name}-relabelled{seed}")
+
+
+@pytest.mark.parametrize("cfg,top", _scan_cases())
+def test_pruned_scan_emits_exactly_the_least_tables(cfg, top):
+    # the pruned scan's leaves are the unpruned scan's tables that
+    # _is_least accepts, table for table and in the same order
+    st = _Structure(cfg)
+    for d in range(1, top + 1):
+        pruned = [_frozen(img, lam) for img, lam, _ in _scan(st, d)]
+        kept = [_frozen(img, lam) for img, lam, moves in _scan(st, d, prune=False)
+                if _is_least(d, moves)]
+        assert pruned == kept, d
+
+
+def test_relabelled_copies_move_the_root():
+    cfg = full_corpus()["z2_double_bouquet"]
+    roots = {_Structure(relabelled(cfg, seed)).fiber_names[0] for seed in (1, 2, 3)}
+    assert len(roots) > 1
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -11,6 +11,7 @@ route produced the presentation.
 from __future__ import annotations
 
 import json
+from copy import deepcopy
 from math import gcd
 
 from hypothesis import assume, given, settings, strategies as st
@@ -24,6 +25,7 @@ from devissage import (ComponentNode, Configuration, Edge, SingularNode,
                        parse_config_text, symmetric, trivial_presentation,
                        validate_config)
 from devissage.corpus import trivial_edge
+from devissage.census import _Structure, _is_least, _scan
 
 
 def group_for(node_id: str, order: int):
@@ -103,6 +105,22 @@ def test_census_equals_both_counters_on_equivariant_configs(cfg):
         assert len(enumerate_tuples(cfg, d)) == \
             count_transitive_actions(direct, d) == \
             count_transitive_actions(recursive, d)
+
+
+@settings(deadline=None, max_examples=60)
+@given(equivariant_configurations())
+def test_pruned_scan_emits_exactly_the_least_tables_on_equivariant_configs(cfg):
+    # the pruned scan's leaves are the unpruned scan's tables that
+    # _is_least accepts, in the same order, and nothing else
+    assume(is_connected(cfg))
+    structure = _Structure(cfg)
+    for d in (1, 2, 3):
+        # the scan yields live rows, so each table is copied as it comes
+        pruned = [deepcopy((img, lam)) for img, lam, _ in _scan(structure, d)]
+        kept = [deepcopy((img, lam))
+                for img, lam, moves in _scan(structure, d, prune=False)
+                if _is_least(d, moves)]
+        assert pruned == kept
 
 
 @settings(deadline=None, max_examples=40)
