@@ -11,7 +11,7 @@ module.
 
 from __future__ import annotations
 
-from .configuration import Configuration
+from .configuration import Configuration, DisconnectedError, is_connected
 
 __all__: list[str] = []
 
@@ -28,9 +28,12 @@ class _Structure:
     equivariance of the incident edges whose psi or phi paths read that
     slot; a gluing entry can only break its own edge's equivariance, and
     not even that when every edge generator maps to the identity on both
-    sides."""
+    sides.  A disconnected configuration raises ``DisconnectedError``; one
+    instance serves the scans of every degree."""
 
     def __init__(self, cfg: Configuration):
+        if not is_connected(cfg):
+            raise DisconnectedError("tuple census requires a connected configuration")
         comps = sorted(cfg.components, key=lambda c: c.id)
         sings = sorted(cfg.singulars, key=lambda s: s.id)
         self.fiber_names = [("c", c.id) for c in comps] + [("s", s.id) for s in sings]

@@ -18,8 +18,8 @@ import sys
 import time
 
 from .assembly import assemble_direct, assemble_recursive
-from .configuration import (Configuration, DisconnectedError, free_rank,
-                            is_connected, validate_config)
+from .configuration import (Configuration, free_rank, is_connected,
+                            validate_config)
 from .covers import equivalence_report
 from .discreteness import Verdict, discreteness_verdict
 from .homs import fingerprint
@@ -194,9 +194,6 @@ def main(argv: list[str] | None = None) -> int:
         report, passed = run(cfg, max_degree=args.max_degree, verify=args.verify,
                              method=args.method, probes=probes,
                              restrictions=restrictions, timings=args.timings)
-    except DisconnectedError as exc:
-        print(f"devissage: invalid configuration: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError) as exc:  # RecursionError is a RuntimeError
         print(f"devissage: error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .assembly import AssemblyResult, free_edge_generator
 from .census import _scan, _Structure
-from .configuration import Configuration, DisconnectedError, is_connected
+from .configuration import Configuration
 from .homs import Hom, count_transitive_actions, eval_word, hom
 from .perms import (Perm, compose, identity_perm, inverse_perm, is_perm,
                     symmetric)
@@ -179,15 +179,6 @@ def tuple_components(cfg: Configuration, t: DescentTuple) -> tuple[frozenset, ..
     return tuple(sorted((frozenset(b) for b in blocks.values()), key=min))
 
 
-def _census_structure(cfg: Configuration, degree: int) -> _Structure:
-    """The scan's index tables, once the census is known to be defined."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    if not is_connected(cfg):
-        raise DisconnectedError("tuple census requires a connected configuration")
-    return _Structure(cfg)
-
-
 def _tuple_from_tables(st: _Structure, d: int, img, lam) -> DescentTuple:
     component_fibers: dict[str, Fiber] = {}
     singular_fibers: dict[str, Fiber] = {}
@@ -212,11 +203,13 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
     relabelling is smaller on it, so nothing is tested at the leaves and
     no dictionary of canonical forms is built.  Each tuple is returned in
     that least labelling, and the list is sorted by the row-major key:
-    generator rows by fiber and slot, then gluing rows by edge.  Over a
-    connected configuration every fiber of a connected tuple has the same
-    size, so a single degree describes the whole cover.
+    generator rows by fiber and slot, then gluing rows by edge.  The
+    configuration must be connected (``_Structure`` checks), so every fiber
+    of a connected tuple has the same size, which ``degree`` gives.
     """
-    st = _census_structure(cfg, degree)
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    st = _Structure(cfg)
     found: list[tuple[tuple[tuple[int, ...], ...], DescentTuple]] = []
     for img, lam, _ in _scan(st, degree):
         new_img = [[tuple(row) for row in rows] for rows in img]
@@ -227,13 +220,6 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
         found.append((key, _tuple_from_tables(st, degree, new_img, new_lam)))
     found.sort(key=lambda entry: entry[0])
     return [t for _, t in found]
-
-
-def _count_tuples(cfg: Configuration, degree: int) -> int:
-    """``len(enumerate_tuples(cfg, degree))`` without copying any table or
-    building any tuple: the number of tables the pruned scan emits."""
-    st = _census_structure(cfg, degree)
-    return sum(1 for _ in _scan(st, degree))
 
 
 def _transports(cfg: Configuration, result: AssemblyResult,
@@ -342,10 +328,11 @@ class EquivalenceReport:
 
 def equivalence_report(cfg: Configuration, result: AssemblyResult,
                        max_degree: int) -> EquivalenceReport:
-    rows = []
-    for d in range(1, max_degree + 1):
-        rows.append(EquivalenceRow(
-            d, _count_tuples(cfg, d),
-            count_transitive_actions(result.presentation, d)))
-    return EquivalenceReport(tuple(rows),
-                             all(r.tuples == r.reps for r in rows))
+    """Tuple census against transitive actions for d = 1..max_degree: one
+    census index serves every degree, whose count is the number of tables
+    its scan yields, none of them copied."""
+    st = _Structure(cfg)
+    rows = tuple(EquivalenceRow(d, sum(1 for _ in _scan(st, d)),
+                                count_transitive_actions(result.presentation, d))
+                 for d in range(1, max_degree + 1))
+    return EquivalenceReport(rows, all(r.tuples == r.reps for r in rows))

@@ -118,19 +118,20 @@ VerdictTree = Union[Leaf, Coproduct, Quotient]
 
 
 def fold_verdicts(tree: VerdictTree) -> Verdict:
-    if isinstance(tree, Leaf):
-        return tree.verdict
-    if isinstance(tree, Quotient):
-        return fold_verdicts(tree.child)
-    return combine(fold_verdicts(child) for child in tree.children)
+    """The conjunction of the leaves: quotients change nothing."""
+    return combine(tree_leaves(tree))
 
 
 def tree_leaves(tree: VerdictTree) -> list[Verdict]:
-    if isinstance(tree, Leaf):
-        return [tree.verdict]
-    if isinstance(tree, Quotient):
-        return tree_leaves(tree.child)
+    """The leaf verdicts left to right, walked on an explicit stack."""
     out: list[Verdict] = []
-    for child in tree.children:
-        out.extend(tree_leaves(child))
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(node.verdict)
+        elif isinstance(node, Quotient):
+            stack.append(node.child)
+        else:
+            stack.extend(reversed(node.children))
     return out

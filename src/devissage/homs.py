@@ -10,7 +10,8 @@ object, i.e. transitive actions up to simultaneous conjugation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence, Union
 
 from .perms import (Perm, PermGroupTarget, compose, identity_perm,
@@ -47,12 +48,12 @@ class Hom:
     source: Presentation
     target: Presentation | PermGroupTarget
     images: tuple[tuple[GenId, Image], ...]
-    _by_gen: dict[GenId, Image] | None = field(default=None, init=False,
-                                               repr=False, compare=False)
+
+    @cached_property
+    def _by_gen(self) -> dict[GenId, Image]:
+        return dict(self.images)  # built on first use: most homs are never asked
 
     def image(self, g: GenId) -> Image:
-        if self._by_gen is None:  # built on first use: most homs are never asked
-            object.__setattr__(self, "_by_gen", dict(self.images))
         return self._by_gen[g]
 
     def images_dict(self) -> dict[GenId, Image]:

@@ -58,8 +58,8 @@ class Presentation:
         return f"<{gens} | {rels}>"
 
 
-def free_presentation(namespace: str, rank: int, start: int = 0) -> Presentation:
-    return Presentation(tuple(GenId(namespace, start + i) for i in range(rank)))
+def free_presentation(namespace: str, rank: int) -> Presentation:
+    return Presentation(tuple(GenId(namespace, i) for i in range(rank)))
 
 
 def trivial_presentation() -> Presentation:

@@ -37,7 +37,7 @@ from .assembly import AssemblyResult
 from .configuration import (ComponentNode, Configuration, Edge, SingularNode)
 from .covers import EquivalenceReport
 from .discreteness import DiscretenessVerdict
-from .homs import Fingerprint, Hom, hom
+from .homs import Fingerprint, Hom, eval_word, hom
 from .perms import Perm, compose, identity_perm
 from .presentations import Presentation, trivial_presentation
 from .words import IDENTITY, GenId, Letter, Word, gen
@@ -92,12 +92,15 @@ def _is_int(value: Any) -> bool:
 
 class _Group(NamedTuple):
     """A parsed group: its presentation, the word each name of the document
-    stands for, and per generator the ``psi``/``phi`` key that holds its
-    image (None for an identity generator, which has no name)."""
+    stands for, per generator the ``psi``/``phi`` key that holds its image
+    (None for an identity generator, which has no name), and for the finite
+    kind its degree and listed permutations, the generators' faithful
+    action (None for the other kinds)."""
 
     presentation: Presentation
     words: dict[str, Word]
     keys: tuple[str | None, ...]
+    action: tuple[int, tuple[Perm, ...]] | None = None
 
 
 _TRIVIAL = _Group(trivial_presentation(), {}, ())
@@ -182,7 +185,7 @@ def _finite_group(degree: Any, gen_specs: Any, namespace: str, where: str) -> _G
     names = {p: f"g{i}" for i, p in enumerate(sorted(tree)[1:])}  # the identity sorts first
     return _Group(Presentation(gens, tuple(relations)),
                   {name: tree[p] for p, name in names.items()},
-                  tuple(names.get(p) for p in perms))
+                  tuple(names.get(p) for p in perms), (degree, tuple(perms)))
 
 
 def _parse_hom(spec: Any, source: _Group, target: _Group, where: str) -> Hom:
@@ -190,7 +193,10 @@ def _parse_hom(spec: Any, source: _Group, target: _Group, where: str) -> Hom:
     group to words in the target.  Each generator's image is read from its
     key (for a finite edge group, the element name of the listed
     permutation); entries under other names of the edge group are checked
-    as words but not read."""
+    as words but not read.  Into a finite group every edge relator must act
+    trivially under the map, which is exact because the listed permutations
+    act faithfully; into a presentation the map is not checked, as that is
+    undecidable in general."""
     group = source.presentation
     if spec is None:
         if group.generators:
@@ -206,9 +212,18 @@ def _parse_hom(spec: Any, source: _Group, target: _Group, where: str) -> Hom:
     missing = {key for key in source.keys if key is not None} - set(given)
     if missing:
         raise ConfigParseError(f"{where}: missing image for {sorted(missing)}")
-    return hom(group, target.presentation,
-               {g: IDENTITY if key is None else given[key]
-                for g, key in zip(group.generators, source.keys)})
+    images = {g: IDENTITY if key is None else given[key]
+              for g, key in zip(group.generators, source.keys)}
+    if target.action is not None:
+        degree, perms = target.action
+        listed = dict(zip(target.presentation.generators, perms))
+        acts = {g: eval_word(w, listed, degree) for g, w in images.items()}
+        for j, rel in enumerate(group.relations):
+            if eval_word(rel, acts, degree) != identity_perm(degree):
+                raise ConfigSemanticError(f"{where}: edge relator #{j} does not map "
+                                          "to the identity, so the map is not a "
+                                          "homomorphism")
+    return hom(group, target.presentation, images)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> Configuration:

@@ -32,6 +32,8 @@ __all__ = [
     "amalgamated_coproduct",
 ]
 
+_CONJ_NAMESPACE = "F"
+
 
 @dataclass(frozen=True)
 class Interface:
@@ -80,18 +82,18 @@ class ConjugatorGroup:
         return reduce_word(self.v(i).inverse() * self.v(j))
 
 
-def conjugator_group(s: int, namespace: str = "F") -> ConjugatorGroup:
+def conjugator_group(s: int) -> ConjugatorGroup:
     """Free group of rank s-1 on the conjugators v_2..v_s."""
     if s < 1:
         raise ValueError("need at least one interface")
-    gens = tuple(GenId(namespace, i) for i in range(2, s + 1))
+    gens = tuple(GenId(_CONJ_NAMESPACE, i) for i in range(2, s + 1))
     return ConjugatorGroup(Presentation(gens), s)
 
 
-def _check_input(inp: VKInput, conj_namespace: str) -> None:
+def _check_input(inp: VKInput) -> None:
     if not inp.interfaces:
         raise ValueError("need at least one interface")
-    spaces = [inp.left.namespaces(), inp.right.namespaces(), {conj_namespace}]
+    spaces = [inp.left.namespaces(), inp.right.namespaces(), {_CONJ_NAMESPACE}]
     spaces += [i.group.namespaces() for i in inp.interfaces]
     seen: set[str] = set()
     for block in spaces:
@@ -108,16 +110,16 @@ def _check_input(inp: VKInput, conj_namespace: str) -> None:
             raise ValueError(f"interface {i}: phi must land in the right group")
 
 
-def van_kampen(inp: VKInput, conj_namespace: str = "F") -> Presentation:
+def van_kampen(inp: VKInput) -> Presentation:
     """Form (i): L * R * F(v_2..v_s) with conjugation relations.
 
     The relation family ranges over whole interface groups in principle; it
     is imposed on interface generators only, which suffices because both
     sides of each relation are images under homomorphisms.
     """
-    _check_input(inp, conj_namespace)
+    _check_input(inp)
     s = len(inp.interfaces)
-    F = conjugator_group(s, conj_namespace)
+    F = conjugator_group(s)
     gens = inp.left.generators + inp.right.generators + F.presentation.generators
     rels = list(inp.left.relations) + list(inp.right.relations)
     for i, iface in enumerate(inp.interfaces, start=1):
@@ -149,7 +151,7 @@ def _right_copies(inp: VKInput, s: int):
     return copies, maps
 
 
-def van_kampen_forms(inp: VKInput, conj_namespace: str = "F") -> VKForms:
+def van_kampen_forms(inp: VKInput) -> VKForms:
     """Build forms (i)-(iv) and the isomorphism witnesses to (i).
 
     (ii) uses s conjugated copies of the right group; (iii) inlines the
@@ -160,10 +162,9 @@ def van_kampen_forms(inp: VKInput, conj_namespace: str = "F") -> VKForms:
     in how their relation families are ordered; both treat the s interfaces
     symmetrically, unlike (i) and (iii) which single out the first one.
     """
-    _check_input(inp, conj_namespace)
+    form_i = van_kampen(inp)  # checks the input
     s = len(inp.interfaces)
-    F = conjugator_group(s, conj_namespace)
-    form_i = van_kampen(inp, conj_namespace)
+    F = conjugator_group(s)
 
     copies, maps = _right_copies(inp, s)
     copy_gens = tuple(g for c in copies for g in c.generators)

@@ -337,6 +337,44 @@ def test_exit_two_on_disconnected_config(tmp_path, capsys):
     assert "not connected" in capsys.readouterr().err
 
 
+Z4 = {"kind": "finite", "degree": 4, "generators": [[1, 2, 3, 0]]}
+Z2_EDGE = {"kind": "finite", "degree": 2, "generators": [[1, 0]]}
+
+
+def _z2_edge_into_z4(side: str, image: list) -> str:
+    """Z/2 edge group mapped by ``side`` into a Z/4 node (elements g0 = a,
+    g1 = a^2, g2 = a^3) and trivially into the other, trivial node."""
+    finite_component = side == "psi"
+    triv = {"kind": "trivial"}
+    return json.dumps({
+        "components": [{"id": "X1", "group": Z4 if finite_component else triv}],
+        "singulars": [{"id": "Z1", "group": triv if finite_component else Z4}],
+        "edges": [{"id": "e1", "component": "X1", "singular": "Z1",
+                   "group": Z2_EDGE, "psi": {"g0": []}, "phi": {"g0": []},
+                   side: {"g0": image}}],
+    })
+
+
+@pytest.mark.parametrize("side", ["psi", "phi"])
+def test_edge_map_into_finite_group_must_be_a_homomorphism(tmp_path, capsys, side):
+    # c -> a sends the edge relator c^2 to a^2 != 1 in Z/4
+    path = write(tmp_path, "bad.json", _z2_edge_into_z4(side, ["g0"]))
+    assert main([path, "--verify", "--max-degree", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"devissage: invalid configuration: {path}: edges[0]: "
+                            f"{side}: edge relator #0 does not map to the identity, "
+                            "so the map is not a homomorphism\n")
+    # c -> a^2 is a homomorphism
+    path = write(tmp_path, "good.json", _z2_edge_into_z4(side, ["g1"]))
+    assert main([path, "--verify", "--max-degree", "4"]) == 0
+
+
+def test_every_config_file_parses():
+    for path in sorted(Path(__file__).parents[1].glob("configs/*.json")):
+        parse_config_text(path.read_text(), source=str(path))
+
+
 def test_report_file_and_timings_flag(tmp_path):
     path = write(tmp_path, "c.json", NODAL)
     report_path = tmp_path / "report.json"

@@ -15,12 +15,13 @@ from math import factorial
 
 import pytest
 
-from devissage import (Configuration, DescentTuple, GenId, TupleIso,
-                       assemble_direct, assemble_recursive, covers,
-                       enumerate_homs, enumerate_tuples, equivalence_report,
-                       hom, hom_count, is_transitive, is_tuple_iso,
-                       rep_of_tuple, symmetric, tuple_components,
-                       tuple_of_rep, validate_tuple, verify_hom)
+from devissage import (ComponentNode, Configuration, DescentTuple,
+                       DisconnectedError, GenId, TupleIso, assemble_direct,
+                       assemble_recursive, census, covers, enumerate_homs,
+                       enumerate_tuples, equivalence_report, hom, hom_count,
+                       is_transitive, is_tuple_iso, rep_of_tuple, symmetric,
+                       trivial_presentation, tuple_components, tuple_of_rep,
+                       validate_tuple, verify_hom)
 from devissage.census import _Structure, _is_least, _scan
 from devissage.covers import _transports
 from devissage.corpus import (bouquet, chain, equivariant_z2, full_corpus,
@@ -483,6 +484,41 @@ def test_equivalence_report_counts_without_building_tuples(monkeypatch):
     for name, cfg in corpus:
         rep = equivalence_report(cfg, assemble_direct(cfg), 3)
         assert [r.tuples for r in rep.rows] == expected[name], name
+
+
+def test_equivalence_report_checks_connectivity_and_indexes_once(monkeypatch):
+    calls = {"index": 0, "search": 0}
+    build = _Structure.__init__
+    connected = census.is_connected
+
+    def counted_build(self, cfg):
+        calls["index"] += 1
+        build(self, cfg)
+
+    def counted_search(cfg):
+        calls["search"] += 1
+        return connected(cfg)
+
+    cfg = line_cycle(2)
+    res = assemble_direct(cfg)
+    monkeypatch.setattr(_Structure, "__init__", counted_build)
+    monkeypatch.setattr(census, "is_connected", counted_search)
+    rep = equivalence_report(cfg, res, 5)
+    assert rep.passed and len(rep.rows) == 5
+    assert calls == {"index": 1, "search": 1}
+
+
+def test_census_of_disconnected_configuration_raises():
+    triv = trivial_presentation()
+    cfg = Configuration((ComponentNode("X1", triv), ComponentNode("X2", triv)), (), ())
+    with pytest.raises(ValueError, match="^degree must be at least 1$"):
+        enumerate_tuples(cfg, 0)
+    with pytest.raises(DisconnectedError,
+                       match="^tuple census requires a connected configuration$"):
+        enumerate_tuples(cfg, 2)
+    with pytest.raises(DisconnectedError,
+                       match="^tuple census requires a connected configuration$"):
+        equivalence_report(cfg, assemble_direct(nodal_cubic()), 0)
 
 
 def test_equivalence_report_detects_wrong_presentation():

@@ -135,3 +135,22 @@ def test_biconditional_cases():
             leaves[bad] = N
             tree = Coproduct(tuple(Leaf(v) for v in leaves))
             assert fold_verdicts(tree) == N
+
+
+def _quotient_chain(leaf: Verdict, depth: int):
+    tree = Leaf(leaf)
+    for _ in range(depth):
+        tree = Quotient(tree)
+    return tree
+
+
+def test_deep_trees_fold_without_recursion():
+    # far past the interpreter's recursion limit
+    deep = _quotient_chain(U, 10_000)
+    assert fold_verdicts(deep) == U
+    assert tree_leaves(deep) == [U]
+    wide = Coproduct(tuple(_quotient_chain(v, 5_000) for v in (D, N, U, D)))
+    assert tree_leaves(wide) == [D, N, U, D]
+    assert fold_verdicts(wide) == N
+    assert fold_verdicts(Quotient(Coproduct((_quotient_chain(D, 10_000),
+                                             Leaf(D))))) == D

@@ -6,6 +6,8 @@ in tests/reference.py before the search engines were written.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -232,3 +234,10 @@ def test_every_consistent_presentation_has_one_trivial_action(rel_specs):
     rels = tuple(Word(tuple((gens[i], s) for i, s in spec)) for spec in rel_specs)
     p = Presentation(gens, rels)
     assert count_transitive_actions(p, 1) == 1
+
+
+def test_hom_has_three_fields_and_caches_its_lookup():
+    h = hom(Z2, symmetric(2), {GenId("a", 0): (1, 0)})
+    assert [f.name for f in fields(h)] == ["source", "target", "images"]
+    assert h.image(GenId("a", 0)) == (1, 0)
+    assert h == hom(Z2, symmetric(2), {GenId("a", 0): (1, 0)})
