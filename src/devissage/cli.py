@@ -21,7 +21,7 @@ from .assembly import assemble_direct, assemble_recursive
 from .configuration import (Configuration, free_rank, is_connected,
                             validate_config)
 from .covers import equivalence_report
-from .discreteness import Verdict, discreteness_verdict
+from .discreteness import discreteness_verdict
 from .homs import fingerprint
 from .perms import PermGroupTarget, cyclic, symmetric
 from .serialize import (ConfigParseError, ConfigSemanticError, emit_assembly,
@@ -132,8 +132,7 @@ def run(cfg: Configuration, *, max_degree: int = 4, verify: bool = False,
         passed &= equiv.passed
 
     if restrictions is not None:
-        verdict = discreteness_verdict(cfg, results["direct"],
-                                       {k: Verdict(v) for k, v in restrictions.items()})
+        verdict = discreteness_verdict(cfg, results["direct"], restrictions)
         report["discreteness"] = emit_discreteness(verdict)
 
     if timings:

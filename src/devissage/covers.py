@@ -180,46 +180,39 @@ def tuple_components(cfg: Configuration, t: DescentTuple) -> tuple[frozenset, ..
 
 
 def _tuple_from_tables(st: _Structure, d: int, img, lam) -> DescentTuple:
+    """The tuple of the scan's live tables, each row copied once."""
     component_fibers: dict[str, Fiber] = {}
     singular_fibers: dict[str, Fiber] = {}
     for f, (kind, name) in enumerate(st.fiber_names):
-        action = {g: img[f][sl] for sl, g in enumerate(st.gen_ids[f])}
+        action = {g: tuple(img[f][sl]) for sl, g in enumerate(st.gen_ids[f])}
         fiber: Fiber = (d, action)
         if kind == "c":
             component_fibers[name] = fiber
         else:
             singular_fibers[name] = fiber
-    gluings = {eid: lam[ei] for ei, eid in enumerate(st.edge_ids)}
+    gluings = {eid: tuple(lam[ei]) for ei, eid in enumerate(st.edge_ids)}
     return DescentTuple(component_fibers, singular_fibers, gluings)
 
 
 def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
     """All connected descent tuples with fibers of size exactly ``degree``,
-    up to isomorphism, in a deterministic order.
+    up to isomorphism, in the order the census scan emits them.
 
     The scan emits exactly the tables that no other base point of the
     root fiber relabels to a table smaller in scan order (orderly
     generation, see ``census._is_least``): it cuts a prefix as soon as some
     relabelling is smaller on it, so nothing is tested at the leaves and
     no dictionary of canonical forms is built.  Each tuple is returned in
-    that least labelling, and the list is sorted by the row-major key:
-    generator rows by fiber and slot, then gluing rows by edge.  The
-    configuration must be connected (``_Structure`` checks), so every fiber
-    of a connected tuple has the same size, which ``degree`` gives.
+    that least labelling, once, and the scan's fixed order makes the list
+    deterministic.  The configuration must be connected (``_Structure``
+    checks), so every fiber of a connected tuple has the same size, which
+    ``degree`` gives.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     st = _Structure(cfg)
-    found: list[tuple[tuple[tuple[int, ...], ...], DescentTuple]] = []
-    for img, lam, _ in _scan(st, degree):
-        new_img = [[tuple(row) for row in rows] for rows in img]
-        new_lam = [tuple(row) for row in lam]
-        # every row has `degree` entries, so the tuple of rows sorts as the
-        # row-major entries do; the key shares its rows with the tuple
-        key = tuple(row for rows in new_img for row in rows) + tuple(new_lam)
-        found.append((key, _tuple_from_tables(st, degree, new_img, new_lam)))
-    found.sort(key=lambda entry: entry[0])
-    return [t for _, t in found]
+    return [_tuple_from_tables(st, degree, img, lam)
+            for img, lam, _ in _scan(st, degree)]
 
 
 def _transports(cfg: Configuration, result: AssemblyResult,

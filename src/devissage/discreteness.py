@@ -67,11 +67,15 @@ def discreteness_verdict(cfg: Configuration,
     """Fold restriction verdicts through the assembled group.
 
     ``restrictions`` must cover every component; singulars with nontrivial
-    groups must be covered too (trivial ones are discrete outright).  The
-    free conjugators contribute a discrete free factor.  Edge relations are
-    quotient steps and preserve the verdict, so they contribute nothing.
+    groups must be covered too (trivial ones are discrete outright), and it
+    may name no other node.  The free conjugators contribute a discrete
+    free factor.  Edge relations are quotient steps and preserve the
+    verdict, so they contribute nothing.
     """
     verdicts = {k: Verdict(v) for k, v in restrictions.items()}
+    unknown = sorted(set(verdicts) - {n.id for n in (*cfg.components, *cfg.singulars)})
+    if unknown:
+        raise ValueError(f"verdict given for unknown node {unknown[0]}")
     entries: list[tuple[str, NodeVerdict]] = []
     for c in cfg.components:
         if c.id not in verdicts:

@@ -9,10 +9,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Perm",
@@ -65,35 +64,45 @@ def is_transitive(perms: Iterable[Perm], degree: int) -> bool:
     return len(seen) == degree
 
 
+def _cayley_walk(degree: int, generators: Sequence[Perm]
+                 ) -> Iterator[tuple[Perm, int, Perm, bool]]:
+    """Every edge ``(g, j, h, new)``, h = compose(g, generators[j]), of a
+    breadth-first walk of the right Cayley graph from the identity, in walk
+    order and generators in listed order; ``new`` says h is first seen."""
+    queue = [identity_perm(degree)]
+    seen = set(queue)
+    for g in queue:  # the queue grows while it is read
+        for j, p in enumerate(generators):
+            h = compose(g, p)
+            new = h not in seen
+            if new:
+                seen.add(h)
+                queue.append(h)
+            yield g, j, h, new
+
+
 @dataclass(frozen=True)
 class PermGroupTarget:
     """A finite permutation group, the universal probe for presentations.
 
-    ``elements`` is the full element list, not a generating set: callers
-    list every element, construction sorts them so enumeration order is
-    deterministic and checks that they really form a group.
+    Construction checks that each generator permutes 0..degree-1 and walks
+    their Cayley graph for the elements, a group by construction, sorted so
+    enumeration order is deterministic.  Equality and hashing read only the
+    degree and the elements.
     """
 
     degree: int
-    elements: tuple[Perm, ...]
+    generators: tuple[Perm, ...] = field(compare=False)
     name: str = field(default="", compare=False)
+    elements: tuple[Perm, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        els = tuple(sorted(self.elements))
-        object.__setattr__(self, "elements", els)
         d = self.degree
-        for p in els:
+        for p in self.generators:
             if not is_perm(p, d):
                 raise ValueError(f"not a permutation of 0..{d - 1}: {p}")
-        universe = set(els)
-        if identity_perm(d) not in universe:
-            raise ValueError("identity missing")
-        for p in els:
-            if inverse_perm(p) not in universe:
-                raise ValueError(f"inverse of {p} missing")
-            for q in els:
-                if compose(p, q) not in universe:
-                    raise ValueError(f"product {p}*{q} escapes the element list")
+        reached = [h for _, _, h, new in _cayley_walk(d, self.generators) if new]
+        object.__setattr__(self, "elements", tuple(sorted([identity_perm(d), *reached])))
 
     @property
     def order(self) -> int:
@@ -105,15 +114,18 @@ class PermGroupTarget:
 
 @lru_cache(maxsize=None)
 def symmetric(degree: int) -> PermGroupTarget:
-    """The full symmetric group S_degree."""
-    els = tuple(itertools.permutations(range(degree)))
-    return PermGroupTarget(degree, els, name=f"S{degree}")
+    """S_degree, generated by the cycle i -> i + 1 (mod degree) and, from
+    degree 3 on, the transposition of 0 and 1."""
+    cycle = tuple((i + 1) % degree for i in range(degree))
+    gens = (cycle, (1, 0, *range(2, degree))) if degree > 2 else (cycle,)
+    return PermGroupTarget(degree, gens, name=f"S{degree}")
 
 
 @lru_cache(maxsize=None)
 def cyclic(order: int) -> PermGroupTarget:
-    """Z/order acting on itself by rotation: the ``order`` rotations
-    i -> i + k (mod order)."""
-    rotations = tuple(tuple((i + k) % order for i in range(order))
-                      for k in range(order))
-    return PermGroupTarget(order, rotations, name=f"Z{order}")
+    """Z/order acting on itself by rotation, generated by i -> i + 1
+    (mod order); its elements are the ``order`` rotations."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    return PermGroupTarget(order, (tuple((i + 1) % order for i in range(order)),),
+                           name=f"Z{order}")

@@ -38,7 +38,7 @@ from .configuration import (ComponentNode, Configuration, Edge, SingularNode)
 from .covers import EquivalenceReport
 from .discreteness import DiscretenessVerdict
 from .homs import Fingerprint, Hom, eval_word, hom
-from .perms import Perm, compose, identity_perm
+from .perms import Perm, _cayley_walk, identity_perm
 from .presentations import Presentation, trivial_presentation
 from .words import IDENTITY, GenId, Letter, Word, gen
 
@@ -151,13 +151,12 @@ def _parse_word(rel: Any, words: Mapping[str, Word], where: str) -> Word:
 def _finite_group(degree: Any, gen_specs: Any, namespace: str, where: str) -> _Group:
     """Schreier presentation of the group generated by explicit permutations.
 
-    The generators are the k listed permutations.  A breadth-first search of
-    the right Cayley graph from the identity (element g, generator s,
-    neighbour g*s, generators in listed order) gives each element a tree
-    word w_g; every other edge yields the relator w_g*s*w_gs^-1, in search
-    order.  These |G|(k-1)+1 relators generate the kernel of the map from the
-    free group onto the permutation group (Schreier's lemma), so they present
-    it.  Element ``g<i>`` (the i-th non-identity element in lexicographic
+    The generators are the k listed permutations.  The Cayley-graph walk
+    that builds a ``PermGroupTarget`` (``perms._cayley_walk``) gives each
+    element a tree word: the edge g*s = h that finds h first sets
+    w_h = w_g*s, and every other edge yields the relator w_g*s*w_h^-1.
+    These |G|(k-1)+1 relators generate the kernel of the map from the free
+    group onto the permutation group (Schreier's lemma), so they present it.  Element ``g<i>`` (the i-th non-identity element in lexicographic
     order) names its tree word.
     """
     if not _is_int(degree) or degree < 1:
@@ -169,19 +168,14 @@ def _finite_group(degree: Any, gen_specs: Any, namespace: str, where: str) -> _G
             raise ConfigParseError(f"{where}: {spec!r} is not a permutation of 0..{degree - 1}")
         perms.append(tuple(spec))
     gens = tuple(GenId(namespace, j) for j in range(len(perms)))
-    ident = identity_perm(degree)
-    tree = {ident: IDENTITY}
-    queue = [ident]
+    tree = {identity_perm(degree): IDENTITY}
     relations = []
-    for g in queue:  # the queue grows while it is read
-        for s, p in zip(gens, perms):
-            h = compose(g, p)
-            step = tree[g] * gen(s)
-            if h in tree:
-                relations.append(step * tree[h].inverse())
-            else:
-                tree[h] = step
-                queue.append(h)
+    for g, j, h, new in _cayley_walk(degree, perms):
+        step = tree[g] * gen(gens[j])
+        if new:
+            tree[h] = step
+        else:
+            relations.append(step * tree[h].inverse())
     names = {p: f"g{i}" for i, p in enumerate(sorted(tree)[1:])}  # the identity sorts first
     return _Group(Presentation(gens, tuple(relations)),
                   {name: tree[p] for p, name in names.items()},

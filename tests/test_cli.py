@@ -432,6 +432,22 @@ def test_cli_discreteness_flag(tmp_path):
     assert doc["discreteness"]["overall"] == "not-discrete"
 
 
+def test_cli_verdict_for_unknown_node_exits_two(tmp_path, capsys):
+    cfg_path = write(tmp_path, "c.json", NODAL)
+    verdicts = write(tmp_path, "v.json", json.dumps({"X1": "discrete", "Q": "discrete"}))
+    assert main([cfg_path, "--discreteness", verdicts]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "devissage: error: verdict given for unknown node Q\n"
+
+
+def test_cli_invalid_verdict_value_exits_two(tmp_path, capsys):
+    cfg_path = write(tmp_path, "c.json", NODAL)
+    verdicts = write(tmp_path, "v.json", json.dumps({"X1": "bogus"}))
+    assert main([cfg_path, "--discreteness", verdicts]) == 2
+    assert capsys.readouterr().err == "devissage: error: 'bogus' is not a valid Verdict\n"
+
+
 # --- fuzzing -----------------------------------------------------------------
 
 CONFIG_DOCS = [json.loads(path.read_text()) for path in

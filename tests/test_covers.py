@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -297,6 +298,20 @@ def test_pruned_scan_emits_exactly_the_least_tables(cfg, top):
         assert pruned == kept, d
 
 
+@pytest.mark.parametrize("name", sorted(full_corpus()))
+def test_enumerate_tuples_lists_the_scan_tables_in_scan_order(name):
+    cfg = full_corpus()[name]
+    st = _Structure(cfg)
+    for d in range(1, 5):
+        listed = []
+        for t in enumerate_tuples(cfg, d):
+            img = [[(t.component_fibers if kind == "c" else t.singular_fibers)[node][1][g]
+                    for g in st.gen_ids[f]]
+                   for f, (kind, node) in enumerate(st.fiber_names)]
+            listed.append(_frozen(img, [t.gluings[eid] for eid in st.edge_ids]))
+        assert listed == [_frozen(img, lam) for img, lam, _ in _scan(st, d)], d
+
+
 def test_relabelled_copies_move_the_root():
     cfg = full_corpus()["z2_double_bouquet"]
     roots = {_Structure(relabelled(cfg, seed)).fiber_names[0] for seed in (1, 2, 3)}
@@ -331,6 +346,18 @@ def test_disconnected_identity_tuple_gives_identity_action():
     res = assemble_direct(cfg)
     rep = rep_of_tuple(cfg, res, nodal_tuple(ID2, ID2))
     assert rep.image(res.presentation.generators[0]) == ID2
+
+
+def test_rep_tuple_roundtrip_at_degree_seven_is_quick():
+    symmetric.cache_clear()
+    cfg = nodal_cubic()
+    res = assemble_direct(cfg)
+    ident, cycle = tuple(range(7)), (*range(1, 7), 0)
+    t = DescentTuple({"X1": (7, {})}, {"Z1": (7, {})}, {"e1": ident, "e2": cycle})
+    start = time.perf_counter()
+    rep = rep_of_tuple(cfg, res, t)
+    assert tuple_of_rep(cfg, res, rep) == t
+    assert time.perf_counter() - start < 5
 
 
 def test_tuple_of_rep_roundtrip_exhaustive_small_degrees():

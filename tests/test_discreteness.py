@@ -61,6 +61,15 @@ def test_nontrivial_singular_needs_verdict():
     assert out.overall == D
 
 
+def test_verdict_for_unknown_node_raises():
+    cfg = nodal_cubic()
+    res = assemble_direct(cfg)
+    with pytest.raises(ValueError, match="^verdict given for unknown node Q$"):
+        discreteness_verdict(cfg, res, {"X1": D, "R": D, "Q": D})
+    # a trivial singular is known, so its verdict is accepted
+    assert discreteness_verdict(cfg, res, {"X1": D, "Z1": U}).overall == D
+
+
 def test_free_factor_is_reported_discrete():
     cfg = nodal_cubic()
     res = assemble_direct(cfg)
