@@ -127,9 +127,9 @@ def split_blocks(cfg: Configuration) -> tuple[SingularBlock, ...]:
     """Partition the configuration into singular-centered blocks.
 
     Block j consists of singular j, its incident edges in listed order, and
-    every component adjacent to it, read from the configuration's
-    singular-to-edges index.  A block is a star around its singular, so it
-    is connected and meets no other singular.
+    every component adjacent to it, read from the configuration's incidence
+    index.  A block is a star around its singular, so it is connected and
+    meets no other singular.  Connectivity gives every singular an edge.
     """
     if not is_connected(cfg):
         raise DisconnectedError("assembly requires a connected configuration")
@@ -137,9 +137,7 @@ def split_blocks(cfg: Configuration) -> tuple[SingularBlock, ...]:
         raise ValueError("no singulars: the configuration is a single regular component")
     blocks = []
     for s in cfg.singulars:
-        edges = [cfg.edges[i] for i in cfg._incident.get(s.id, ())]
-        if not edges:
-            raise ValueError(f"singular {s.id} has no incident edges")
+        edges = [cfg.edges[i] for i in cfg._incident[("s", s.id)]]
         blocks.append(SingularBlock(s.id,
                                     tuple(sorted({e.component for e in edges})),
                                     tuple(e.id for e in edges)))
@@ -148,12 +146,9 @@ def split_blocks(cfg: Configuration) -> tuple[SingularBlock, ...]:
 
 def _ordered_blocks(cfg: Configuration) -> list[SingularBlock]:
     """``split_blocks`` in ``block_order``; a heap holds the blocks that
-    meet the covered components, so no step rescans the others."""
+    meet the covered components, found through the incidence index, so no
+    step rescans the others."""
     blocks = {b.singular: b for b in split_blocks(cfg)}
-    touching: dict[str, list[str]] = {}
-    for b in blocks.values():
-        for cid in b.components:
-            touching.setdefault(cid, []).append(b.singular)
     heap = [min(blocks)]
     reached = set(heap)
     order = []
@@ -161,7 +156,8 @@ def _ordered_blocks(cfg: Configuration) -> list[SingularBlock]:
         block = blocks[heapq.heappop(heap)]
         order.append(block)
         for cid in block.components:
-            for sid in touching[cid]:
+            for i in cfg._incident[("c", cid)]:
+                sid = cfg.edges[i].singular
                 if sid not in reached:
                     reached.add(sid)
                     heapq.heappush(heap, sid)

@@ -320,8 +320,6 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
                     queue.append((tf, q))
                 if check is None or holds(*check):
                     break
-                if len(trail) > mark:
-                    rewind(mark)
                 fwd[p] = bwd[q] = -1
                 if q == n:
                     counts[tf] = n

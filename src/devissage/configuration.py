@@ -5,8 +5,8 @@ A configuration records the connected pieces of the normalization
 one edge per connected piece of the preimage of the singular locus, each
 edge carrying a group with maps psi (into its component's group) and phi
 (into its singular's group).  The incidence graph is bipartite with
-multi-edges; it is read from the configuration's edge list, not stored, and
-its spanning trees drive all base-point choices downstream.
+multi-edges; it is walked once per configuration, and its spanning trees
+drive all base-point choices downstream.
 """
 
 from __future__ import annotations
@@ -74,12 +74,23 @@ class Configuration:
                      for nodes in (self.components, self.singulars, self.edges))
 
     @cached_property
-    def _incident(self) -> dict[str, list[int]]:
-        """Singular id -> positions of its incident edges, in listed order."""
-        incident: dict[str, list[int]] = {}
-        for i, e in enumerate(self.edges):
-            incident.setdefault(e.singular, []).append(i)
-        return incident
+    def _incident(self) -> dict[tuple[str, str], list[int]]:
+        """``_incidence`` of the edges, kept for the block splitting; a walk
+        builds its own and drops it, so a walked-only configuration keeps none."""
+        return _incidence(self.edges)
+
+    @cached_property
+    def _walk(self) -> tuple[tuple[str, ...], bool]:
+        """The walk from the least component: its tree edges in discovery
+        order, and whether it visited exactly the listed components and
+        singulars (counting alone would let a node behind an edge to an
+        unlisted id stand in for a listed one the walk missed)."""
+        if not self.components:
+            return (), False
+        tree, visited = _bfs(self, min(c.id for c in self.components))
+        comp_at, sing_at, _ = self._index
+        return tuple(tree), len(visited) == len(comp_at) + len(sing_at) and all(
+            node in (comp_at if kind == "c" else sing_at) for kind, node in visited)
 
     def component(self, node_id: str) -> ComponentNode:
         return self.components[self._index[0][node_id]]
@@ -91,6 +102,16 @@ class Configuration:
         return self.edges[self._index[2][edge_id]]
 
 
+def _incidence(edges: tuple[Edge, ...]) -> dict[tuple[str, str], list[int]]:
+    """Vertex ("c", component id) or ("s", singular id) -> positions of its
+    incident edges, in listed order; a node no edge names is not a key."""
+    incident: dict[tuple[str, str], list[int]] = {}
+    for i, e in enumerate(edges):
+        incident.setdefault(("c", e.component), []).append(i)
+        incident.setdefault(("s", e.singular), []).append(i)
+    return incident
+
+
 def subconfiguration(cfg: Configuration, singular_ids) -> Configuration:
     """The sub-configuration induced by a set of singulars: those singulars,
     their incident edges, and every component adjacent to one of them, in
@@ -98,7 +119,7 @@ def subconfiguration(cfg: Configuration, singular_ids) -> Configuration:
     comp_at, sing_at, _ = cfg._index
     wanted = set(singular_ids)
     edges = tuple(cfg.edges[i] for i in sorted(
-        i for s in wanted for i in cfg._incident.get(s, ())))
+        i for s in wanted for i in cfg._incident.get(("s", s), ())))
     comps = sorted(comp_at[c] for c in {e.component for e in edges} if c in comp_at)
     sings = sorted(sing_at[s] for s in wanted if s in sing_at)
     return Configuration(tuple(cfg.components[i] for i in comps),
@@ -122,8 +143,7 @@ def validate_config(cfg: Configuration) -> list[str]:
             errors.append(f"duplicate id {i!r}")
         seen.add(i)
 
-    comp_ids = {c.id for c in cfg.components}
-    sing_ids = {s.id for s in cfg.singulars}
+    comp_ids, sing_ids, _ = cfg._index
     used_singulars: set[str] = set()
     for e in cfg.edges:
         if e.component not in comp_ids:
@@ -168,48 +188,30 @@ def validate_config(cfg: Configuration) -> list[str]:
 
 def _bfs(cfg: Configuration, root: str) -> tuple[list[str], set[tuple[str, str]]]:
     """Breadth-first search of the incidence graph from component ``root``:
-    tree edges in discovery order plus the set of visited vertices.
-
-    The graph is bipartite with multi-edges; its vertices are ("c",
-    component id) and ("s", singular id), and each vertex's edges are
-    explored in listed order.  The adjacency is built for this call only,
-    so it never outlives the search.
-    """
-    adjacency: dict[tuple[str, str], list[tuple[str, tuple[str, str]]]] = {}
-    for e in cfg.edges:
-        adjacency.setdefault(("c", e.component), []).append((e.id, ("s", e.singular)))
-        adjacency.setdefault(("s", e.singular), []).append((e.id, ("c", e.component)))
+    tree edges in discovery order plus the set of visited vertices, each
+    vertex's edges explored in listed order.  The index (``_incidence``) is
+    built for this walk only, so it never outlives the search."""
+    incident, edges = _incidence(cfg.edges), cfg.edges
     start = ("c", root)
     visited = {start}
     queue = [start]
     tree: list[str] = []
-    for vertex in queue:  # the queue grows while it is read
-        for eid, other in adjacency.get(vertex, ()):
+    for kind, node in queue:  # the queue grows while it is read
+        for i in incident.get((kind, node), ()):
+            e = edges[i]
+            other = ("s", e.singular) if kind == "c" else ("c", e.component)
             if other not in visited:
                 visited.add(other)
-                tree.append(eid)
+                tree.append(e.id)
                 queue.append(other)
     return tree, visited
 
 
-def _reaches_all_listed(cfg: Configuration, visited: set[tuple[str, str]]) -> bool:
-    """Whether a search visited exactly the listed components and
-    singulars: as many vertices as there are listed ids, each of them
-    listed.  Counting alone would let a node reached only through an edge
-    to an unlisted id stand in for a listed node the search never reached."""
-    comp_at, sing_at, _ = cfg._index
-    return len(visited) == len(comp_at) + len(sing_at) and all(
-        node in (comp_at if kind == "c" else sing_at) for kind, node in visited)
-
-
 def is_connected(cfg: Configuration) -> bool:
-    """Whether the incidence graph is connected: a search from the least
+    """Whether the incidence graph is connected: the walk from the least
     component reaches every listed component and singular, and nothing
     else (an edge to an unlisted node disconnects)."""
-    if not cfg.components:
-        return False
-    _, visited = _bfs(cfg, min(c.id for c in cfg.components))
-    return _reaches_all_listed(cfg, visited)
+    return cfg._walk[1]
 
 
 def free_rank(cfg: Configuration) -> int:
@@ -230,17 +232,18 @@ def spanning_tree(cfg: Configuration,
     edges explored in listed order.
 
     Returns (tree edge ids in discovery order, cotree edge ids in listed
-    order); the cotree size equals ``free_rank(cfg)``.
+    order); the cotree size equals ``free_rank(cfg)``.  Connectivity does
+    not depend on the root, so another root walks again only for its tree.
     """
     if not cfg.components:
         raise DisconnectedError("empty graph")
-    if root is None:
-        root = min(c.id for c in cfg.components)
-    elif not any(c.id == root for c in cfg.components):
+    if root is not None and root not in cfg._index[0]:
         raise ValueError(f"root {root!r} is not a component id")
-    tree, visited = _bfs(cfg, root)
-    if not _reaches_all_listed(cfg, visited):
+    tree, connected = cfg._walk
+    if not connected:
         raise DisconnectedError("graph is not connected")
+    if root not in (None, min(c.id for c in cfg.components)):
+        tree = tuple(_bfs(cfg, root)[0])
     in_tree = set(tree)
     cotree = tuple(e.id for e in cfg.edges if e.id not in in_tree)
-    return tuple(tree), cotree
+    return tree, cotree

@@ -189,7 +189,36 @@ def enumerate_homs(p: Presentation, g: PermGroupTarget) -> list[Hom]:
 
 
 def hom_count(p: Presentation, g: PermGroupTarget) -> int:
-    return sum(1 for _ in _iter_image_tuples(p, g))
+    """The number of homs from ``p`` to ``g``, counted per block.
+
+    Two generators share a block when some relator uses both (union-find).
+    A hom is an independent choice per block, so the count is the product
+    of the blocks' counts; a generator in no relator is a block of its own
+    with |g| images, which gives Hall's |Hom(F_r, G)| = |G|^r without
+    enumerating the |G|^r tuples.  ``enumerate_homs`` is the oracle.
+    """
+    parent = {x: x for x in p.generators}
+
+    def find(x: GenId) -> GenId:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for w in p.relations:
+        for x, _ in w.letters:
+            parent[find(x)] = find(w.letters[0][0])
+    gens: dict[GenId, list[GenId]] = {}
+    rels: dict[GenId, list[Word]] = {}
+    for x in p.generators:
+        gens.setdefault(find(x), []).append(x)
+    for w in p.relations:
+        if w.letters:
+            rels.setdefault(find(w.letters[0][0]), []).append(w)
+    count = 1
+    for root, block in gens.items():
+        sub = Presentation(tuple(block), tuple(rels.get(root, ())))
+        count *= sum(1 for _ in _iter_image_tuples(sub, g))
+    return count
 
 
 @dataclass(frozen=True)

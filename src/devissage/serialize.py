@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# Bound on (elements, identity included) x degree of a ``finite`` group:
+# S_7 (35 280 entries) fits, S_8 (322 560) does not.
+_FINITE_ENTRIES = 100_000
 
 
 class ConfigParseError(ValueError):
@@ -156,8 +159,11 @@ def _finite_group(degree: Any, gen_specs: Any, namespace: str, where: str) -> _G
     element a tree word: the edge g*s = h that finds h first sets
     w_h = w_g*s, and every other edge yields the relator w_g*s*w_h^-1.
     These |G|(k-1)+1 relators generate the kernel of the map from the free
-    group onto the permutation group (Schreier's lemma), so they present it.  Element ``g<i>`` (the i-th non-identity element in lexicographic
-    order) names its tree word.
+    group onto the permutation group (Schreier's lemma), so they present it.
+    Element ``g<i>`` (the i-th non-identity element in lexicographic order)
+    names its tree word.  The walk stops with ``ConfigSemanticError`` once
+    the stored elements would hold more than ``_FINITE_ENTRIES`` permutation
+    entries, so a short document cannot ask for an unbounded group.
     """
     if not _is_int(degree) or degree < 1:
         raise ConfigParseError(f"{where}: degree must be a positive integer")
@@ -167,12 +173,19 @@ def _finite_group(degree: Any, gen_specs: Any, namespace: str, where: str) -> _G
                 or not all(map(_is_int, spec)) or sorted(spec) != list(range(degree))):
             raise ConfigParseError(f"{where}: {spec!r} is not a permutation of 0..{degree - 1}")
         perms.append(tuple(spec))
+    most = _FINITE_ENTRIES // degree  # elements, the identity included
+    too_large = (f"{where}: finite group too large: its elements times its "
+                 f"degree {degree} exceed {_FINITE_ENTRIES}")
+    if not most:
+        raise ConfigSemanticError(too_large)
     gens = tuple(GenId(namespace, j) for j in range(len(perms)))
     tree = {identity_perm(degree): IDENTITY}
     relations = []
     for g, j, h, new in _cayley_walk(degree, perms):
         step = tree[g] * gen(gens[j])
         if new:
+            if len(tree) == most:
+                raise ConfigSemanticError(too_large)
             tree[h] = step
         else:
             relations.append(step * tree[h].inverse())

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from devissage import (ConfigParseError, GenId, emit_config, hom_count,
                        parse_config_text, symmetric)
 from devissage.cli import main, parse_probes, run
-from devissage.corpus import equivariant_z2, line_cycle, nodal_cubic
-from devissage.serialize import render_report
+from devissage.corpus import bouquet, equivariant_z2, line_cycle, nodal_cubic
+from devissage.serialize import ConfigSemanticError, render_report
 
 NODAL = json.dumps({
     "components": [{"id": "X1", "group": {"kind": "trivial"}}],
@@ -514,3 +515,55 @@ def test_mutated_configs_exit_cleanly(text):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") == (1 if code else 0)
+
+
+# --- bounded work on small inputs ---------------------------------------------
+
+def test_bouquet_of_twelve_edges_fingerprints_at_once():
+    start = time.perf_counter()
+    report, passed = run(bouquet(12))
+    assert time.perf_counter() - start < 1
+    assert passed and report["fingerprints"]["direct"]["S3"] == 6 ** 11
+
+
+def _finite_node(degree: int, generators: list) -> str:
+    return json.dumps({"components": [{"id": "X1", "group": {
+                           "kind": "finite", "degree": degree,
+                           "generators": generators}}],
+                       "singulars": [], "edges": []})
+
+
+def _cycle(n: int) -> list[int]:
+    return list(range(1, n)) + [0]
+
+
+def _symmetric_generators(n: int) -> list[list[int]]:
+    return [_cycle(n), [1, 0] + list(range(2, n))]
+
+
+def test_finite_group_within_the_entry_bound_parses():
+    # 316 elements of degree 316 are 99 856 entries; S_7 is 35 280
+    assert len(parse_config_text(_finite_node(316, [_cycle(316)]))
+               .component("X1").group.relations) == 1
+    assert len(parse_config_text(_finite_node(7, _symmetric_generators(7)))
+               .component("X1").group.relations) == 5040 + 1
+
+
+def test_finite_group_beyond_the_entry_bound_is_rejected():
+    # 317 elements of degree 317 are 100 489 entries
+    with pytest.raises(ConfigSemanticError,
+                       match=r"components\[0\]: finite group too large"):
+        parse_config_text(_finite_node(317, [_cycle(317)]))
+
+
+@pytest.mark.parametrize("text", [_finite_node(8, _symmetric_generators(8)),
+                                  _finite_node(10 ** 8, [])],
+                         ids=["S8", "trivial-degree-1e8"])
+def test_large_finite_group_exits_two_at_once(tmp_path, capsys, text):
+    path = write(tmp_path, "c.json", text)
+    start = time.perf_counter()
+    assert main([path]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("devissage: invalid configuration: ") and err.count("\n") == 1
+    assert "finite group too large" in err

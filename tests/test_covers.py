@@ -8,6 +8,7 @@ existed.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
 from dataclasses import replace
@@ -17,12 +18,14 @@ from math import factorial
 import pytest
 
 from devissage import (ComponentNode, Configuration, DescentTuple,
-                       DisconnectedError, GenId, TupleIso, assemble_direct,
-                       assemble_recursive, census, covers, enumerate_homs,
+                       DisconnectedError, GenId, TupleIso, Word,
+                       assemble_direct, assemble_recursive, census,
+                       count_transitive_actions, covers, enumerate_homs,
                        enumerate_tuples, equivalence_report, hom, hom_count,
-                       is_transitive, is_tuple_iso, rep_of_tuple, symmetric,
-                       trivial_presentation, tuple_components, tuple_of_rep,
-                       validate_tuple, verify_hom)
+                       is_transitive, is_tuple_iso, parse_config_text,
+                       rep_of_tuple, symmetric, trivial_presentation,
+                       tuple_components, tuple_of_rep, validate_tuple,
+                       verify_hom)
 from devissage.census import _Structure, _is_least, _scan
 from devissage.covers import _transports
 from devissage.corpus import (bouquet, chain, equivariant_z2, full_corpus,
@@ -328,6 +331,30 @@ def test_census_deterministic():
     a = enumerate_tuples(bouquet(3), 3)
     b = enumerate_tuples(bouquet(3), 3)
     assert a == b
+
+
+def test_relator_that_reduces_to_the_empty_word_constrains_nothing():
+    # a node relator a a^-1 is stored as the empty word, which the census
+    # structure skips and the counter's relator index drops
+    doc = {"components": [
+               {"id": "X1", "group": {"kind": "presentation", "generators": ["a"],
+                                      "relations": [["a", "-a"]]}},
+               {"id": "X2", "group": {"kind": "trivial"}}],
+           "singulars": [
+               {"id": "Z1", "group": {"kind": "presentation", "generators": ["b"],
+                                      "relations": [["-b", "b"]]}},
+               {"id": "Z2", "group": {"kind": "trivial"}}],
+           "edges": [{"id": f"e{i}", "component": c, "singular": z}
+                     for i, (c, z) in enumerate([("X1", "Z1"), ("X2", "Z1"),
+                                                 ("X1", "Z2"), ("X2", "Z2")])]}
+    cfg = parse_config_text(json.dumps(doc))
+    assert cfg.component("X1").group.relations == (Word(),)
+    direct = assemble_direct(cfg).presentation
+    recursive = assemble_recursive(cfg).presentation
+    for d in (1, 2, 3):
+        assert len(enumerate_tuples(cfg, d)) == \
+            count_transitive_actions(direct, d) == \
+            count_transitive_actions(recursive, d)
 
 
 # --- dictionary with representations -----------------------------------------

@@ -10,14 +10,19 @@ edges of different singulars interleave, as ``perfbench`` relabelling does.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from devissage import (ComponentNode, Configuration, DisconnectedError,
-                       SingularBlock, assemble_direct, block_order,
-                       split_blocks, spanning_tree, subconfiguration,
-                       trivial_presentation)
+                       SingularBlock, SingularNode, assemble_direct,
+                       block_order, configuration, enumerate_tuples,
+                       is_connected, split_blocks, spanning_tree,
+                       subconfiguration, trivial_presentation)
+from devissage.cli import main
 from devissage.corpus import full_corpus, line_cycle
+
+CONFIG_FILES = sorted(Path(__file__).parents[1].glob("configs/*.json"))
 
 
 def reference_blocks(cfg: Configuration) -> tuple[SingularBlock, ...]:
@@ -114,3 +119,63 @@ def test_spanning_tree_error_messages():
     with pytest.raises(DisconnectedError,
                        match="^assembly requires a connected configuration$"):
         split_blocks(cut)
+
+
+# --- one incidence index and one walk per configuration --------------------
+
+def reference_incident(cfg: Configuration) -> dict[tuple[str, str], list[int]]:
+    """Vertex -> edge positions, each vertex's list a rescan of all edges."""
+    vertices = ({("c", e.component) for e in cfg.edges}
+                | {("s", e.singular) for e in cfg.edges})
+    return {v: [i for i, e in enumerate(cfg.edges)
+                if v in (("c", e.component), ("s", e.singular))]
+            for v in vertices}
+
+
+@pytest.mark.parametrize("cfg", cases())
+def test_incidence_index_matches_a_rescan_of_the_edges(cfg):
+    assert cfg._incident == reference_incident(cfg)
+
+
+def counted_walks(monkeypatch) -> list[str]:
+    """The root of every incidence-graph walk from here on."""
+    roots: list[str] = []
+    walk = configuration._bfs
+
+    def counted(cfg, root):
+        roots.append(root)
+        return walk(cfg, root)
+
+    monkeypatch.setattr(configuration, "_bfs", counted)
+    return roots
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=[p.stem for p in CONFIG_FILES])
+def test_cli_walks_each_configuration_once(path, monkeypatch, capsys):
+    roots = counted_walks(monkeypatch)
+    assert main([str(path), "--verify", "--max-degree", "3"]) == 0
+    # the recursive route also walks each of its two star blocks
+    assert len(roots) == (3 if path.stem == "cycle_of_two_lines" else 1)
+
+
+def test_assembly_and_census_share_one_walk(monkeypatch):
+    cfg = line_cycle(1000)
+    roots = counted_walks(monkeypatch)
+    assemble_direct(cfg)
+    for d in (2, 3):
+        enumerate_tuples(cfg, d)
+    assert roots == [min(c.id for c in cfg.components)]
+
+
+def test_empty_configuration_is_not_connected():
+    assert not is_connected(Configuration((), (), ()))
+
+
+def test_split_blocks_rejects_a_singular_without_edges():
+    cfg = line_cycle(3)
+    lonely = Configuration(cfg.components,
+                           cfg.singulars + (SingularNode("Z9", trivial_presentation()),),
+                           cfg.edges)
+    with pytest.raises(DisconnectedError,
+                       match="^assembly requires a connected configuration$"):
+        split_blocks(lonely)

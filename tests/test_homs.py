@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from devissage import (GenId, Presentation, Word, assemble_direct,
-                       count_transitive_actions, cyclic, cyclic_presentation,
+                       assemble_recursive, count_transitive_actions, cyclic, cyclic_presentation,
                        enumerate_homs, fingerprint, free_presentation,
                        free_product, gen, hom, hom_count, pullback, symmetric,
                        verify_hom, word)
@@ -241,3 +241,38 @@ def test_hom_has_three_fields_and_caches_its_lookup():
     assert [f.name for f in fields(h)] == ["source", "target", "images"]
     assert h.image(GenId("a", 0)) == (1, 0)
     assert h == hom(Z2, symmetric(2), {GenId("a", 0): (1, 0)})
+
+
+# --- hom_count by relator-connected blocks ----------------------------------
+
+BLOCK_PROBES = ([cyclic(n) for n in (1, 2, 3, 4)]
+                + [symmetric(n) for n in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("name", sorted(full_corpus()))
+def test_hom_count_by_blocks_equals_the_enumeration_on_the_corpus(name):
+    cfg = full_corpus()[name]
+    routes = [assemble_direct(cfg)]
+    if len(cfg.singulars) >= 2:
+        routes.append(assemble_recursive(cfg))
+    for res in routes:
+        for probe in BLOCK_PROBES:
+            assert hom_count(res.presentation, probe) == \
+                len(enumerate_homs(res.presentation, probe))
+
+
+@pytest.mark.parametrize("edges", [1, 2, 5, 12])
+def test_bouquet_hom_count_is_hall_power(edges):
+    pres = assemble_direct(bouquet(edges)).presentation
+    for probe in BLOCK_PROBES + [symmetric(5)]:
+        assert hom_count(pres, probe) == len(probe.elements) ** (edges - 1)
+
+
+def test_hom_count_multiplies_blocks_joined_only_through_relators():
+    # <a, b, c | a^2, [b, c]>: blocks {a} and {b, c}, joined by no relator
+    a, b, c = (GenId("m", i) for i in range(3))
+    pres = Presentation((a, b, c), (word((a, 1), (a, 1)),
+                                    word((b, 1), (c, 1), (b, -1), (c, -1))))
+    for probe in BLOCK_PROBES:
+        assert hom_count(pres, probe) == len(enumerate_homs(pres, probe))
+    assert hom_count(pres, symmetric(3)) == 4 * 18  # involutions x commuting pairs

@@ -20,8 +20,9 @@ import reference
 
 from devissage import (ComponentNode, Configuration, Edge, SingularNode,
                        Word, assemble_direct, assemble_recursive,
-                       count_transitive_actions, cyclic_presentation,
-                       enumerate_tuples, fingerprint, hom, is_connected,
+                       count_transitive_actions, cyclic, cyclic_presentation,
+                       enumerate_homs, enumerate_tuples, fingerprint, hom,
+                       hom_count, is_connected,
                        parse_config_text, symmetric, trivial_presentation,
                        validate_config)
 from devissage.corpus import trivial_edge
@@ -204,3 +205,14 @@ def test_census_equals_both_counters_on_finite_node_groups(cfg):
         assert len(enumerate_tuples(cfg, d)) == \
             count_transitive_actions(direct, d) == \
             count_transitive_actions(recursive, d)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(configurations(), equivariant_configurations(),
+                 finite_group_configurations()))
+def test_hom_count_by_blocks_equals_the_enumeration_on_random_configs(cfg):
+    assume(is_connected(cfg))
+    for res in (assemble_direct(cfg), assemble_recursive(cfg)):
+        for probe in (cyclic(4), symmetric(3)):
+            assert hom_count(res.presentation, probe) == \
+                len(enumerate_homs(res.presentation, probe))
