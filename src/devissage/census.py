@@ -103,26 +103,39 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
     keeps its relabelling so far (old label -> new label per fiber, and
     its old points in discovery order) and the scan position where its
     comparison with the table stopped, for want of an entry on either side.
-    After every entry that passes its check, once the scan has reached the
-    next unset entry or a complete table, each seed resumes from there: a
-    smaller relabelled entry rejects the entry, a larger one retires the
-    seed, since the table is then smaller than that relabelling whatever
-    follows.  A dead end, where the queue runs out short of full, rejects
-    the entry without resuming any seed.  Seed changes are logged on a
-    trail of ints, and each frame records the trail length to rewind to.
-    The leaves are then exactly the tables ``_is_least`` accepts, in the
-    same order.
+    Once the entries set since the last choice point pass their checks and
+    the scan has reached the next choice point, a complete table or a
+    deduced entry with a check (see below), each seed resumes from there:
+    a smaller relabelled entry rejects the last choice, a larger one
+    retires the seed, since the table is then smaller than that
+    relabelling whatever follows.  A dead end, where the queue
+    runs out short of full, rejects the last choice without resuming any
+    seed.  Seed changes are logged on a trail of ints, and each frame
+    records the trail length to rewind to.  The leaves are then exactly
+    the tables ``_is_least`` accepts, in the same order.
+
+    An unset entry with exactly one candidate label is deduced rather than
+    chosen: when the target fiber's n < d used labels all have a preimage,
+    only the fresh label n is open, and when n = d only the one label
+    without a preimage is.  The scan sets it, runs its check and logs it
+    on a list, with no frame and no label loop.  Seeds resume at choice
+    points, at complete tables and before a deduced entry that has a
+    check (a relator or edge trace costs more than a resumption), not
+    before the other deduced entries.  A seed that rejects a deduced entry
+    rejects the choice it was deduced from, since the entry had no
+    alternative.  Backtracking a frame rewinds the trail, then undoes the
+    entries deduced since the frame, then its own label.
 
     The search runs on an explicit stack, so its depth is bounded by
     memory rather than by the interpreter's recursion limit.  Each frame
     is one choice point: the queue position and move index of an unset
     entry, the last label tried there, the target fiber's point count on
-    entry and the trail length on entry.  Each complete table is yielded
-    as ``(img, lam, extra)``: the live generator and gluing tables, which
-    the caller must copy to keep, and, when pruning, the table's number of
-    automorphisms (1 plus the seeds that tied to the end); without pruning,
-    per fiber the live row each move reads with the fiber it lands in, as
-    ``_is_least`` takes them.
+    entry, and the trail and deduction-log lengths on entry.  Each
+    complete table is yielded as ``(img, lam, extra)``: the live generator
+    and gluing tables, which the caller must copy to keep, and, when
+    pruning, the table's number of automorphisms (1 plus the seeds that
+    tied to the end); without pruning, per fiber the live row each move
+    reads with the fiber it lands in, as ``_is_least`` takes them.
     """
     nf = len(st.fiber_names)
     ne = len(st.edge_ids)
@@ -273,40 +286,69 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
             at_k[s], at_m[s] = k, m
             wait_row[s], wait_at[s] = ready, 0
 
+    # Entries set without a choice, (fwd, bwd, p, q, tf) each, with tf = -1
+    # unless q was a fresh label of fiber tf.
+    deduced: list[tuple] = []
     stack: list[list[int]] = []
     qi = mi = 0
     while True:
         # Advance past assigned moves to the next choice point, or to the
         # end of the queue, where a table with every fiber full is complete.
-        # The last choice stands only if no seed then relabels the table to
-        # a smaller one; a dead end, short of full, needs no seed.
+        # An entry with one candidate label is set on the way; the choices
+        # since the last choice point stand only if no seed then relabels
+        # the table to a smaller one.  A dead end, short of full, or a
+        # deduced entry that fails its check needs no seed; seeds resume
+        # before a deduced entry that has a check, so that a rejection is
+        # seen before the check is paid for.
         while qi < len(queue):
             f, p = queue[qi]
-            steps = plan[f]
-            if mi == len(steps):
+            for fwd, bwd, tf, check in plan[f][mi:] if mi else plan[f]:
+                if fwd[p] < 0:
+                    n = counts[tf]
+                    free = bwd.count(-1)  # the d - n fresh points, and gaps below n
+                    if free != d - n and free != 1:  # a choice point
+                        if advance():
+                            stack.append([qi, mi, -1, n, len(trail), len(deduced)])
+                        break
+                    if check is not None and not advance():
+                        break  # a seed rejects an entry set before this one
+                    # the fresh label when every used one is taken, else
+                    # (n == d) the one label unused
+                    q = n if free == d - n else bwd.index(-1)
+                    fwd[p], bwd[q] = q, p
+                    if q == n:
+                        counts[tf] = n + 1
+                        queue.append((tf, q))
+                    deduced.append((fwd, bwd, p, q, tf if q == n else -1))
+                    if check is not None and not holds(*check):
+                        break
+                mi += 1
+            else:
                 qi, mi = qi + 1, 0
                 continue
-            fwd, _, tf, _ = steps[mi]
-            if fwd[p] < 0:
-                if advance():
-                    stack.append([qi, mi, -1, counts[tf], len(trail)])
-                break
-            mi += 1
+            break
         else:
             if len(queue) == full and advance():
                 yield img, lam, (1 + sum(at_k[s] == full for s in seeds)
                                  if prune else moves)
 
-        # Undo the top frame's last choice and try its next label; pop
-        # frames whose labels are exhausted.
+        # Undo the top frame's last choice and what was deduced from it,
+        # and try its next label; pop frames whose labels are exhausted.
+        # The trail is rewound first, because rewind reads the queue.
         while stack:
             frame = stack[-1]
-            fqi, fmi, q, n, mark = frame
+            fqi, fmi, q, n, mark, dmark = frame
             f, p = queue[fqi]
             fwd, bwd, tf, check = plan[f][fmi]
             if q >= 0:
                 if len(trail) > mark:
                     rewind(mark)
+                while len(deduced) > dmark:
+                    dfwd, dbwd, dp, dq, dtf = deduced.pop()
+                    dfwd[dp] = dbwd[dq] = -1
+                    if dtf >= 0:
+                        counts[dtf] = dq
+                        queue.pop()
                 fwd[p] = bwd[q] = -1
                 if q == n:
                     counts[tf] = n

@@ -179,18 +179,24 @@ def tuple_components(cfg: Configuration, t: DescentTuple) -> tuple[frozenset, ..
     return tuple(sorted((frozenset(b) for b in blocks.values()), key=min))
 
 
-def _tuple_from_tables(st: _Structure, d: int, img, lam) -> DescentTuple:
-    """The tuple of the scan's live tables, each row copied once."""
+def _tuple_from_tables(st: _Structure, d: int, img, lam,
+                       rows: dict[Perm, Perm]) -> DescentTuple:
+    """The tuple of the scan's live tables, each row copied once and
+    replaced by its equal in ``rows`` when there is one."""
+    def share(row: list[int]) -> Perm:
+        perm = tuple(row)
+        return rows.setdefault(perm, perm)
+
     component_fibers: dict[str, Fiber] = {}
     singular_fibers: dict[str, Fiber] = {}
     for f, (kind, name) in enumerate(st.fiber_names):
-        action = {g: tuple(img[f][sl]) for sl, g in enumerate(st.gen_ids[f])}
+        action = {g: share(img[f][sl]) for sl, g in enumerate(st.gen_ids[f])}
         fiber: Fiber = (d, action)
         if kind == "c":
             component_fibers[name] = fiber
         else:
             singular_fibers[name] = fiber
-    gluings = {eid: tuple(lam[ei]) for ei, eid in enumerate(st.edge_ids)}
+    gluings = {eid: share(lam[ei]) for ei, eid in enumerate(st.edge_ids)}
     return DescentTuple(component_fibers, singular_fibers, gluings)
 
 
@@ -206,12 +212,15 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
     that least labelling, once, and the scan's fixed order makes the list
     deterministic.  The configuration must be connected (``_Structure``
     checks), so every fiber of a connected tuple has the same size, which
-    ``degree`` gives.
+    ``degree`` gives.  Equal permutations in the returned list, gluings
+    and generator actions alike, are one shared tuple: there are at most
+    d! distinct ones, against one per generator and edge in every tuple.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     st = _Structure(cfg)
-    return [_tuple_from_tables(st, degree, img, lam)
+    rows: dict[Perm, Perm] = {}
+    return [_tuple_from_tables(st, degree, img, lam, rows)
             for img, lam, _ in _scan(st, degree)]
 
 

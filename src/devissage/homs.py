@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Iterator, Mapping, Sequence, Union
 
 from .perms import (Perm, PermGroupTarget, compose, identity_perm,
@@ -254,9 +255,17 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
     contains degree/|Aut| pointed tables, so the class count is
     sum(|Aut|)/degree.  A seed is an automorphism iff its scan-order
     relabelling reproduces the table; that relabelling is checked cell by
-    cell while it is built and abandoned at the first mismatch.  The scan
-    runs on an explicit stack, one entry per cell, so its depth (degree
-    times rank) is not bounded by the interpreter's recursion limit.
+    cell while it is built and abandoned at the first mismatch.  Most
+    tables are certified to have |Aut| = 1 without trying a seed: the scan
+    keeps each generator's fixed-point count, and a table whose counts and
+    degree have gcd 1 has no nontrivial automorphism.  The centralizer of
+    a transitive group acts freely (Dixon and Mortimer, Thm 4.2A), so a
+    nontrivial automorphism has a power of some prime order p without
+    fixed points; it commutes with every generator, so it permutes each
+    generator's fixed points in p-cycles, and p divides the degree and
+    every count.  The scan runs on an explicit stack, one entry per cell,
+    so its depth (degree times rank) is not bounded by the interpreter's
+    recursion limit.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -318,10 +327,11 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
         return count
 
     cells = d * r
-    # Per cell: its point, the row and inverse row it fills, the relators
-    # through its generator, and the point of the next cell.
-    plan = [(cell // r, img[cell % r], pre[cell % r], by_gen[cell % r],
+    # Per cell: its point, its generator, the row and inverse row it fills,
+    # the relators through its generator, and the point of the next cell.
+    plan = [(cell // r, cell % r, img[cell % r], pre[cell % r], by_gen[cell % r],
              (cell + 1) // r) for cell in range(cells)]
+    fixed = [0] * r  # per generator, the points its row maps to themselves
     tried = [-1] * cells  # the label set at each cell of the current path
     known = [0] * cells   # points discovered when the cell was reached
     known[0] = 1
@@ -330,23 +340,29 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
     last = cells - 1
     cell = 0
     while cell >= 0:
-        point, row, col, rels, next_point = plan[cell]
+        point, gi, row, col, rels, next_point = plan[cell]
         n, q = known[cell], tried[cell]
         if q >= 0:
             row[point] = col[q] = -1
+            if q == point:
+                fixed[gi] -= 1
         for q in range(q + 1, limit[n]):
             if col[q] >= 0:
                 continue
             row[point] = q
             col[q] = point
+            if q == point:
+                fixed[gi] += 1
             found = n + 1 if q == n else n
             if not rels or relators_ok(rels, found):
-                if cell == last:
-                    aut_total += automorphisms()
+                if cell == last:  # gcd 1 certifies |Aut| = 1 (see above)
+                    aut_total += 1 if gcd(d, *fixed) == 1 else automorphisms()
                 elif next_point < found:
                     break  # descend to the next cell
                 # else the scan closed up early: a proper sub-action
             row[point] = col[q] = -1
+            if q == point:
+                fixed[gi] -= 1
         else:
             tried[cell] = -1
             cell -= 1

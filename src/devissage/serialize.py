@@ -195,7 +195,8 @@ def _finite_group(degree: Any, gen_specs: Any, namespace: str, where: str) -> _G
                   tuple(names.get(p) for p in perms), (degree, tuple(perms)))
 
 
-def _parse_hom(spec: Any, source: _Group, target: _Group, where: str) -> Hom:
+def _parse_hom(spec: Any, source: _Group, target: _Group, where: str,
+               trivial: dict[tuple[int, int], Hom]) -> Hom:
     """The edge map given by ``spec``, an object from names of the edge
     group to words in the target.  Each generator's image is read from its
     key (for a finite edge group, the element name of the listed
@@ -203,12 +204,16 @@ def _parse_hom(spec: Any, source: _Group, target: _Group, where: str) -> Hom:
     as words but not read.  Into a finite group every edge relator must act
     trivially under the map, which is exact because the listed permutations
     act faithfully; into a presentation the map is not checked, as that is
-    undecidable in general."""
+    undecidable in general.  ``trivial`` holds the omitted maps, one per
+    pair of presentations."""
     group = source.presentation
     if spec is None:
         if group.generators:
             raise ConfigParseError(f"{where}: map omitted but the edge group is nontrivial")
-        return hom(group, target.presentation, {})
+        key = (id(group), id(target.presentation))  # the map keeps both alive
+        if key not in trivial:
+            trivial[key] = hom(group, target.presentation, {})
+        return trivial[key]
     if not isinstance(spec, dict):
         raise ConfigParseError(f"{where}: expected an object mapping names to words")
     given: dict[str, Word] = {}
@@ -256,6 +261,7 @@ def parse_config_text(text: str, source: str = "<config>") -> Configuration:
     comp_groups, sing_groups = groups["components"], groups["singulars"]
 
     edges = []
+    trivial: dict[tuple[int, int], Hom] = {}
     for i, item in enumerate(_require_list(doc["edges"], source, "edges")):
         where = f"{source}: edges[{i}]"
         _require_keys(item, where, ("id", "component", "singular"),
@@ -267,8 +273,10 @@ def parse_config_text(text: str, source: str = "<config>") -> Configuration:
             raise ConfigSemanticError(f"{where}: unknown component {cid!r}")
         if sid not in sing_groups:
             raise ConfigSemanticError(f"{where}: unknown singular {sid!r}")
-        psi = _parse_hom(item.get("psi"), parsed, comp_groups[cid], f"{where}: psi")
-        phi = _parse_hom(item.get("phi"), parsed, sing_groups[sid], f"{where}: phi")
+        psi = _parse_hom(item.get("psi"), parsed, comp_groups[cid], f"{where}: psi",
+                         trivial)
+        phi = _parse_hom(item.get("phi"), parsed, sing_groups[sid], f"{where}: phi",
+                         trivial)
         edges.append(Edge(eid, cid, sid, parsed.presentation, psi, phi))
     return Configuration(tuple(nodes["components"]), tuple(nodes["singulars"]),
                          tuple(edges))

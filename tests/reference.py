@@ -63,7 +63,7 @@ def naive_hom_count(num_gens: int,
     return len(naive_homs(num_gens, relators, elements))
 
 
-def _transitive(images: Sequence[Perm], d: int) -> bool:
+def transitive(images: Sequence[Perm], d: int) -> bool:
     seen = {0}
     frontier = [0]
     while frontier:
@@ -76,6 +76,12 @@ def _transitive(images: Sequence[Perm], d: int) -> bool:
     return len(seen) == d
 
 
+def centralizer(images: Sequence[Perm], d: int) -> list[Perm]:
+    """Every permutation of d points that commutes with all of ``images``."""
+    return [s for s in all_perms(d)
+            if all(compose(s, p) == compose(p, s) for p in images)]
+
+
 def naive_transitive_classes(num_gens: int,
                              relators: Sequence[Sequence[Letter]],
                              d: int) -> int:
@@ -86,7 +92,7 @@ def naive_transitive_classes(num_gens: int,
     perms = all_perms(d)
     seen = set()
     for images in itertools.product(perms, repeat=num_gens):
-        if not _transitive(images, d):
+        if not transitive(images, d):
             continue
         if not all(eval_word(r, images, d) == identity(d) for r in relators):
             continue

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -371,9 +372,46 @@ def test_edge_map_into_finite_group_must_be_a_homomorphism(tmp_path, capsys, sid
     assert main([path, "--verify", "--max-degree", "4"]) == 0
 
 
+def test_omitted_maps_share_one_trivial_map():
+    cfg = parse_config_text(json.dumps(emit_config(line_cycle(6))))
+    maps = {id(h) for e in cfg.edges for h in (e.psi, e.phi)}
+    assert len(maps) == 1
+
+
 def test_every_config_file_parses():
     for path in sorted(Path(__file__).parents[1].glob("configs/*.json")):
         parse_config_text(path.read_text(), source=str(path))
+
+
+# sha256 of stdout and the exit code of ``--verify --max-degree 5`` on each
+# configs/*.json, pinned so that a change to the searches cannot move a report
+GOLDEN_REPORTS = {
+    "cycle_of_two_lines.json":
+        (0, "22e715948b89da287c8780d7d0b9b6ac5273daa3790c92856948ea34f4069fe9"),
+    "equivariant_z2.json":
+        (0, "54f679c1b778423d927a6c4b87c438b6ebb0ca7be8be3189ed9e56983768ccf1"),
+    "nodal_cubic.json":
+        (0, "a43a87f922a4bcbe74986e6715439dcd22aa545a9f6ac177915e1b6b3ef5ea59"),
+    "s3_nodal.json":
+        (0, "3b4213622198cf010d3ce25539d775600a63585498cb2e033f26291dc587a1fa"),
+    "s4_nodal.json":
+        (0, "b49abd340f7b4aab6e78dd1754e718049ae9b561f402dcbe919179571d36e055"),
+    "z2_nodal.json":
+        (0, "c32bf7487a38c3cfe76cb79c63a84b1b7014b9e53d485a63f9a448802a268546"),
+}
+
+
+def test_golden_reports_cover_every_config_file():
+    names = {path.name for path in Path(__file__).parents[1].glob("configs/*.json")}
+    assert names == set(GOLDEN_REPORTS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_verify_report_matches_its_golden_digest(name, capsys):
+    path = str(Path(__file__).parents[1] / "configs" / name)
+    code = main([path, "--verify", "--max-degree", "5"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN_REPORTS[name]
 
 
 def test_report_file_and_timings_flag(tmp_path):

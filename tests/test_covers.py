@@ -14,6 +14,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,7 @@ from devissage import (ComponentNode, Configuration, DescentTuple,
                        assemble_direct, assemble_recursive, census,
                        count_transitive_actions, covers, enumerate_homs,
                        enumerate_tuples, equivalence_report, hom, hom_count,
-                       is_transitive, is_tuple_iso, parse_config_text,
+                       is_transitive, is_tuple_iso, parse_config, parse_config_text,
                        rep_of_tuple, symmetric, trivial_presentation,
                        tuple_components, tuple_of_rep, validate_tuple,
                        verify_hom)
@@ -33,6 +34,7 @@ from devissage.corpus import (bouquet, chain, equivariant_z2, full_corpus,
                               squared_interface, z2_nodal)
 
 ID2, SWAP = (0, 1), (1, 0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def nodal_tuple(e1, e2) -> DescentTuple:
@@ -282,6 +284,9 @@ def _frozen(img, lam):
 def _scan_cases():
     base = dict(full_corpus())
     base.update({f"line_cycle{n}": line_cycle(n) for n in (6, 40)})
+    # S4 by its Schreier presentation: hundreds of deduced entries fail a
+    # relator check there
+    base["s4_nodal"] = parse_config(str(CONFIGS / "s4_nodal.json"))
     for name, cfg in base.items():
         top = 3 if name.startswith("line_cycle") else 4
         yield pytest.param(cfg, top, id=name)
@@ -313,6 +318,20 @@ def test_enumerate_tuples_lists_the_scan_tables_in_scan_order(name):
                    for f, (kind, node) in enumerate(st.fiber_names)]
             listed.append(_frozen(img, [t.gluings[eid] for eid in st.edge_ids]))
         assert listed == [_frozen(img, lam) for img, lam, _ in _scan(st, d)], d
+
+
+def test_enumerate_tuples_shares_equal_rows():
+    # every gluing and generator action of one result is interned: equal
+    # permutations are one object
+    tuples = enumerate_tuples(full_corpus()["z2_double_bouquet"], 4)
+    rows = [p for t in tuples
+            for fibers in (t.component_fibers, t.singular_fibers)
+            for _, action in fibers.values() for p in action.values()]
+    rows += [p for t in tuples for p in t.gluings.values()]
+    distinct = {}
+    for p in rows:
+        assert distinct.setdefault(p, p) is p
+    assert len(distinct) < len(rows)
 
 
 def test_relabelled_copies_move_the_root():

@@ -6,7 +6,9 @@ in tests/reference.py before the search engines were written.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import fields
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,43 @@ def test_counter_matches_naive_reference_on_corpus(name, d):
     relators = [[(index[g], s) for g, s in w.letters] for w in pres.relations]
     assert count_transitive_actions(pres, d) == \
         naive_transitive_classes(len(pres.generators), relators, d)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_fixed_point_certificate_against_brute_force_centralizers(d):
+    # the counter's leaf test: when the degree and the generators'
+    # fixed-point counts have gcd 1, a transitive action has no
+    # automorphism but the identity
+    from reference import all_perms, centralizer, identity, transitive
+    certified = 0
+    for images in itertools.product(all_perms(d), repeat=2):
+        if not transitive(images, d):
+            continue
+        fixed = [sum(p[x] == x for x in range(d)) for p in images]
+        if gcd(d, *fixed) == 1:
+            certified += 1
+            assert centralizer(images, d) == [identity(d)], images
+    assert certified or d == 2  # the only transitive group of S2 is abelian
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_counter_matches_naive_reference_on_cyclic_groups(n):
+    # <a | a^n> acts regularly on n points, with n automorphisms
+    from reference import naive_transitive_classes
+    for d in range(1, 7):
+        assert count_transitive_actions(cyclic_presentation("a", n), d) == \
+            naive_transitive_classes(1, [[(0, 1)] * n], d), d
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_counter_matches_naive_reference_on_the_klein_group(d):
+    # <a, b | a^2, b^2, [a, b]>: its regular action has 4 automorphisms
+    from reference import naive_transitive_classes
+    a, b = GenId("k", 0), GenId("k", 1)
+    klein = Presentation((a, b), (word((a, 1), (a, 1)), word((b, 1), (b, 1)),
+                                  word((a, 1), (b, 1), (a, -1), (b, -1))))
+    relators = [[(0, 1), (0, 1)], [(1, 1), (1, 1)], [(0, 1), (1, 1), (0, -1), (1, -1)]]
+    assert count_transitive_actions(klein, d) == naive_transitive_classes(2, relators, d)
 
 
 @settings(deadline=None, max_examples=25)
