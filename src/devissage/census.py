@@ -37,13 +37,13 @@ class _Structure:
         comps = sorted(cfg.components, key=lambda c: c.id)
         sings = sorted(cfg.singulars, key=lambda s: s.id)
         self.fiber_names = [("c", c.id) for c in comps] + [("s", s.id) for s in sings]
-        self.fiber_of = {name: i for i, name in enumerate(self.fiber_names)}
+        fiber_of = {name: i for i, name in enumerate(self.fiber_names)}
         groups = [c.group for c in comps] + [s.group for s in sings]
         self.gen_ids = [g.generators for g in groups]
-        self.slot_of = [{g: i for i, g in enumerate(gens)} for gens in self.gen_ids]
+        slot_of = [{g: i for i, g in enumerate(gens)} for gens in self.gen_ids]
         rel_by_slot: list[dict[int, list]] = []
         for f, group in enumerate(groups):
-            slots = self.slot_of[f]
+            slots = slot_of[f]
             table: dict[int, list] = {}
             for rel in group.relations:
                 if not rel.letters:
@@ -61,15 +61,15 @@ class _Structure:
         # per fiber and slot, the edges whose constraints read that slot
         readers: list[list[list[int]]] = [[[] for _ in gens] for gens in self.gen_ids]
         for ei, e in enumerate(cfg.edges):
-            cf = self.fiber_of[("c", e.component)]
-            sf = self.fiber_of[("s", e.singular)]
+            cf = fiber_of[("c", e.component)]
+            sf = fiber_of[("s", e.singular)]
             self.edge_comp.append(cf)
             self.edge_sing.append(sf)
             constraints = []
             for a in e.group.generators:
-                psi_path = tuple((self.slot_of[cf][g], s)
+                psi_path = tuple((slot_of[cf][g], s)
                                  for g, s in reversed(e.psi.image(a).letters))
-                phi_path = tuple((self.slot_of[sf][g], s)
+                phi_path = tuple((slot_of[sf][g], s)
                                  for g, s in reversed(e.phi.image(a).letters))
                 if psi_path or phi_path:  # identity on both sides holds for any gluing
                     constraints.append((psi_path, phi_path))
@@ -110,27 +110,30 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
     retires the seed, since the table is then smaller than that
     relabelling whatever follows.  A dead end, where the queue
     runs out short of full, rejects the last choice without resuming any
-    seed.  Seed changes are logged on a trail of ints, and each frame
-    records the trail length to rewind to.  The leaves are then exactly
-    the tables ``_is_least`` accepts, in the same order.
+    seed.  The leaves are then exactly the tables ``_is_least`` accepts,
+    in the same order.
 
     An unset entry with exactly one candidate label is deduced rather than
     chosen: when the target fiber's n < d used labels all have a preimage,
     only the fresh label n is open, and when n = d only the one label
-    without a preimage is.  The scan sets it, runs its check and logs it
-    on a list, with no frame and no label loop.  Seeds resume at choice
-    points, at complete tables and before a deduced entry that has a
-    check (a relator or edge trace costs more than a resumption), not
-    before the other deduced entries.  A seed that rejects a deduced entry
-    rejects the choice it was deduced from, since the entry had no
-    alternative.  Backtracking a frame rewinds the trail, then undoes the
-    entries deduced since the frame, then its own label.
+    without a preimage is.  The scan sets it and runs its check, with no
+    frame and no label loop.  Seeds resume at choice points, at complete
+    tables and before a deduced entry that has a check (a relator or edge
+    trace costs more than a resumption), not before the other deduced
+    entries.  A seed that rejects a deduced entry rejects the choice it
+    was deduced from, since the entry had no alternative.
 
     The search runs on an explicit stack, so its depth is bounded by
-    memory rather than by the interpreter's recursion limit.  Each frame
-    is one choice point: the queue position and move index of an unset
-    entry, the last label tried there, the target fiber's point count on
-    entry, and the trail and deduction-log lengths on entry.  Each
+    memory rather than by the interpreter's recursion limit, and keeps
+    one trail: every change, in the order it happens, whether a seed
+    moves (its position and point count before the move) or an entry is
+    set (chosen or deduced).  Each frame is one choice point: the queue
+    position and move index of an unset entry, the last label tried
+    there, and the trail length before that label was set.  A choice
+    point and a deduction take their first label alike, the least open
+    one, which is a deduction's only one.  Backtracking a frame pops the
+    trail back to its length, undoing the changes newest first, and sets
+    the frame's next open label; ``rewind`` is the only undo.  Each
     complete table is yielded as ``(img, lam, extra)``: the live generator
     and gluing tables, which the caller must copy to keep, and, when
     pruning, the table's number of automorphisms (1 plus the seeds that
@@ -219,7 +222,10 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
         maps[s] = [-1] * full
         maps[s][s] = 0
         cnts[s] = [1] + [0] * (nf - 1)
-    trail: list[int] = []  # (seed, at_k, at_m, len(order)) before each change
+    # Every change since the scan began, oldest first: (seed, at_k, at_m,
+    # len(order)) before a seed moves, and (fwd, bwd, p, q, tf) when an entry
+    # is set, with tf = -1 unless q was a fresh label of fiber tf.
+    trail: list[tuple] = []
 
     def advance() -> bool:
         """Resume every seed that can move; False iff one relabels the
@@ -267,29 +273,35 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
             else:  # tied to the end, retired, or short of its next point
                 wait_row[s], wait_at[s] = never, 0
             if k != k0 or m != m0:
-                trail.extend((s, k0, m0, n0))
+                trail.append((s, k0, m0, n0))
                 at_k[s], at_m[s] = k, m
             if smaller:
                 return False
         return True
 
     def rewind(mark: int) -> None:
-        """Undo the seed changes logged since the trail had length mark."""
+        """Undo, newest first, every change logged since the trail had
+        length mark; a seed's points are then still in the queue."""
         while len(trail) > mark:
-            size, m, k, s = trail.pop(), trail.pop(), trail.pop(), trail.pop()
-            order, mp, cn = orders[s], maps[s], cnts[s]
-            while len(order) > size:
-                t = order.pop()
-                f = queue[len(order)][0]
-                mp[f * d + t] = -1
-                cn[f] -= 1
-            at_k[s], at_m[s] = k, m
-            wait_row[s], wait_at[s] = ready, 0
+            change = trail.pop()
+            if len(change) == 4:
+                s, k, m, size = change
+                order, mp, cn = orders[s], maps[s], cnts[s]
+                while len(order) > size:
+                    t = order.pop()
+                    f = queue[len(order)][0]
+                    mp[f * d + t] = -1
+                    cn[f] -= 1
+                at_k[s], at_m[s] = k, m
+                wait_row[s], wait_at[s] = ready, 0
+            else:
+                fwd, bwd, p, q, tf = change
+                fwd[p] = bwd[q] = -1
+                if tf >= 0:
+                    counts[tf] = q
+                    queue.pop()
 
-    # Entries set without a choice, (fwd, bwd, p, q, tf) each, with tf = -1
-    # unless q was a fresh label of fiber tf.
-    deduced: list[tuple] = []
-    stack: list[list[int]] = []
+    stack: list[list] = []
     qi = mi = 0
     while True:
         # Advance past assigned moves to the next choice point, or to the
@@ -306,20 +318,19 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
                 if fwd[p] < 0:
                     n = counts[tf]
                     free = bwd.count(-1)  # the d - n fresh points, and gaps below n
+                    # the least open label, a deduction's only one
+                    q = bwd.index(-1)
                     if free != d - n and free != 1:  # a choice point
-                        if advance():
-                            stack.append([qi, mi, -1, n, len(trail), len(deduced)])
-                        break
-                    if check is not None and not advance():
+                        if not advance():
+                            break
+                        stack.append([qi, mi, q, len(trail)])
+                    elif check is not None and not advance():
                         break  # a seed rejects an entry set before this one
-                    # the fresh label when every used one is taken, else
-                    # (n == d) the one label unused
-                    q = n if free == d - n else bwd.index(-1)
                     fwd[p], bwd[q] = q, p
                     if q == n:
                         counts[tf] = n + 1
                         queue.append((tf, q))
-                    deduced.append((fwd, bwd, p, q, tf if q == n else -1))
+                    trail.append((fwd, bwd, p, q, tf if q == n else -1))
                     if check is not None and not holds(*check):
                         break
                 mi += 1
@@ -332,46 +343,30 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
                 yield img, lam, (1 + sum(at_k[s] == full for s in seeds)
                                  if prune else moves)
 
-        # Undo the top frame's last choice and what was deduced from it,
-        # and try its next label; pop frames whose labels are exhausted.
-        # The trail is rewound first, because rewind reads the queue.
+        # Undo everything since the top frame's last label and set its next
+        # open one; pop frames whose labels are exhausted.
         while stack:
             frame = stack[-1]
-            fqi, fmi, q, n, mark, dmark = frame
-            f, p = queue[fqi]
-            fwd, bwd, tf, check = plan[f][fmi]
-            if q >= 0:
-                if len(trail) > mark:
-                    rewind(mark)
-                while len(deduced) > dmark:
-                    dfwd, dbwd, dp, dq, dtf = deduced.pop()
-                    dfwd[dp] = dbwd[dq] = -1
-                    if dtf >= 0:
-                        counts[dtf] = dq
-                        queue.pop()
-                fwd[p] = bwd[q] = -1
-                if q == n:
-                    counts[tf] = n
-                    queue.pop()
+            qi, mi, q, mark = frame
+            rewind(mark)
+            f, p = queue[qi]
+            fwd, bwd, tf, check = plan[f][mi]
+            n = counts[tf]
             for q in range(q + 1, min(n + 1, d)):
-                if bwd[q] >= 0:
-                    continue
-                fwd[p], bwd[q] = q, p
-                if q == n:
-                    counts[tf] = n + 1
-                    queue.append((tf, q))
-                if check is None or holds(*check):
+                if bwd[q] < 0:
                     break
-                fwd[p] = bwd[q] = -1
-                if q == n:
-                    counts[tf] = n
-                    queue.pop()
             else:
                 stack.pop()
                 continue
             frame[2] = q
-            qi, mi = fqi, fmi + 1
-            break
+            fwd[p], bwd[q] = q, p
+            if q == n:
+                counts[tf] = n + 1
+                queue.append((tf, q))
+            trail.append((fwd, bwd, p, q, tf if q == n else -1))
+            if check is None or holds(*check):
+                mi += 1
+                break
         else:
             return
 

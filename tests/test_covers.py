@@ -7,6 +7,7 @@ existed.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -223,6 +224,14 @@ def _hall_subgroup_counts(presentation, max_degree: int) -> list[int]:
     return [int(x) for x in a[1:]]
 
 
+def _hall_config(name: str) -> Configuration:
+    # S4 by its Schreier presentation is the relator-heavy case: there chosen
+    # and deduced labels most often fail a relator check
+    if name == "s4_nodal":
+        return parse_config(str(CONFIGS / "s4_nodal.json"))
+    return full_corpus()[name]
+
+
 @pytest.mark.parametrize("name,expected", [
     ("bouquet3", [1, 3, 13, 71, 461]),
     ("bouquet4", [1, 7, 97, 2143]),
@@ -231,12 +240,13 @@ def _hall_subgroup_counts(presentation, max_degree: int) -> list[int]:
     ("s3_nodal", [1, 3, 25, 95]),
     ("equivariant_z2", [1, 3, 1, 3]),
     ("squared_interface", [1, 3, 7, 31]),
+    ("s4_nodal", [1, 3, 25, 191]),
 ])
 def test_scan_emits_one_table_per_subgroup_halls_formula(name, expected):
     # Each pointed class of transitive actions is an index-d subgroup, so a
     # scan that emitted any pointed class twice would overshoot Hall's count
     # even though orderly acceptance would still keep one table per class.
-    cfg = full_corpus()[name]
+    cfg = _hall_config(name)
     pres = assemble_direct(cfg).presentation
     assert _hall_subgroup_counts(pres, len(expected)) == expected
     st = _Structure(cfg)
@@ -248,11 +258,12 @@ def test_scan_emits_one_table_per_subgroup_halls_formula(name, expected):
 @pytest.mark.parametrize("name,top", [
     ("bouquet3", 5), ("bouquet4", 4), ("z2_double_bouquet", 4), ("z2_nodal", 4),
     ("s3_nodal", 4), ("equivariant_z2", 4), ("squared_interface", 4),
+    ("s4_nodal", 4),
 ])
 def test_pruned_scan_weighted_by_automorphisms_gives_halls_formula(name, top):
     # the pruned scan emits one table per class; a class with |Aut| = k
     # stands for d/k pointed tables, so the weighted sum is a_d again
-    cfg = full_corpus()[name]
+    cfg = _hall_config(name)
     expected = _hall_subgroup_counts(assemble_direct(cfg).presentation, top)
     st = _Structure(cfg)
     weighted = [sum(Fraction(d, aut) for _, _, aut in _scan(st, d))
@@ -304,6 +315,68 @@ def test_pruned_scan_emits_exactly_the_least_tables(cfg, top):
         kept = [_frozen(img, lam) for img, lam, moves in _scan(st, d, prune=False)
                 if _is_least(d, moves)]
         assert pruned == kept, d
+
+
+# sha256 of what the scans emit for d <= 4, in emission order: (d, table,
+# |Aut|) per pruned table, then (d, table) per unpruned one.  Pinned so that
+# a change to the search cannot reorder or alter its output unseen, even in
+# both scans alike.
+GOLDEN_SCANS = {
+    "bouquet3":
+        "4ddf3467641104f4de9bb502c4cab1d5eab30eb94b526c0e74afde98a921dc02",
+    "bouquet4":
+        "03a616e7d861347d8ae212ea0151530fb45c6519f426933ede4144223153668e",
+    "chain3":
+        "ce0ad3f91e903474ceb0ffb899a260480424c2d3c7a57237283ffc75b2c548a4",
+    "cycle2":
+        "996a2b7ebf55d675b4ab8180a2a7be412f8ad2c82c064ec5017200d8d06a8115",
+    "cycle3":
+        "c1cd36079697f99f23ffbb1f2332c773cdf209639535c74c7cfb58dcd27c9302",
+    "cycle4":
+        "405081cee2cebf60bb041170b26dc8f58f8249ba197ae001dff0132cadb0fb2d",
+    "cycle5":
+        "c0d7aee57c188505e16ace4ed5e212df9d601d29ac9d97191f9c34a55dbaa6e8",
+    "double_bouquet22":
+        "6f7c57ee1eb45fb025da193d3c26471d6ac5c83030ff1d4165def82cebf0b240",
+    "equivariant_z2":
+        "523b04c481089a1735ae6144449692bafab63f47fdf8e0654a8be65c3d033bb4",
+    "nodal_cubic":
+        "48299cfa7a25444ec9d835cdc520983b5fc812f1efa470aed7042f9940d8a232",
+    "s3_nodal":
+        "800e49281ff98ffce47ba019a7b6e63a09ef55bd7bf5a93f5782ac7b1208af3b",
+    "s4_nodal":
+        "2acf6ea78f1211b5130325f092cc8fdfdde32e44e77a5f9c69745048216259c1",
+    "squared_interface":
+        "1921a50c1b63da4e3ffbf7b202ea08f9ac19e31156c9822d87b257581b459387",
+    "star3":
+        "fb205554ea1ed7c66f6ed8c0721a4b14e20fe2b5761197ed846054db053e81b0",
+    "z2_chain":
+        "376ce88fb7912f15680c029b15cc3e3ef8ad956df69b39c53dee4628194306cf",
+    "z2_double_bouquet":
+        "a04022a21f4c6e47fdd1e7d1f25f6d64bb8e62d30d41a56c7a3c1202e8153717",
+    "z2_nodal":
+        "1c238cf8db6ed2589436cf23a03abed410c1fb15240d4d95011bfc9ab8ca7a81",
+}
+
+
+def _scan_digest(cfg: Configuration, top: int = 4) -> str:
+    st = _Structure(cfg)
+    h = hashlib.sha256()
+    for d in range(1, top + 1):
+        for img, lam, aut in _scan(st, d):
+            h.update(repr((d, _frozen(img, lam), aut)).encode())
+        for img, lam, _ in _scan(st, d, prune=False):
+            h.update(repr((d, _frozen(img, lam))).encode())
+    return h.hexdigest()
+
+
+def test_golden_scans_cover_the_corpus_and_s4():
+    assert set(GOLDEN_SCANS) == set(full_corpus()) | {"s4_nodal"}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
+def test_scans_match_their_golden_digest(name):
+    assert _scan_digest(_hall_config(name)) == GOLDEN_SCANS[name]
 
 
 @pytest.mark.parametrize("name", sorted(full_corpus()))

@@ -57,3 +57,12 @@ def test_benchmark_calls_resolve_on_the_package():
     assert {"parse_config_text", "cli.main", "corpus.line_cycle",
             "assemble_direct", "assemble_recursive"} <= set(calls)
     assert [path for path in calls if not resolves(path)] == []
+
+
+# the CLI and the corpus are reached by their module names only
+@pytest.mark.parametrize("name", [m for m in MODULES[1:]
+                                  if m not in ("devissage.cli", "devissage.corpus")])
+def test_the_package_reexports_every_module_export(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__
+            if getattr(devissage, n, None) is not getattr(module, n)] == []
