@@ -2,8 +2,7 @@
 on an explicit stack.
 
 ``covers`` builds descent tuples and counts them from what ``_scan``
-yields; ``_is_least`` states the order the scan prunes by and is the
-oracle for its unpruned form.  The search lives apart from the tuple API
+yields.  The search lives apart from the tuple API
 because each module is compiled when it is imported, and the compiler's
 peak memory, which is most of a short CLI run's, grows with the largest
 module.
@@ -87,8 +86,8 @@ class _Structure:
 
 def _scan(st: _Structure, d: int, *, prune: bool = True):
     """Yield connected degree-d tuples, each once, as its least labelled
-    table (see ``_is_least``); with ``prune=False``, one labelled pointed
-    table per (tuple, base point in the root fiber) pair instead.
+    table; with ``prune=False``, one labelled pointed table per (tuple,
+    base point in the root fiber) pair instead.
 
     Points of each fiber are labelled in the order a fixed breadth-first
     scan from (root fiber, point 0) discovers them; a fresh label may only
@@ -96,6 +95,19 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
     removes all per-fiber relabelling freedom.  Constraints (relators and
     edge equivariance) prune as soon as a trace is fully determined: each
     move re-checks only what its new entry can break (``_Structure``).
+
+    A table is compared as the sequence of its entries in the order the
+    scan fills them: the points in breadth-first order from (root fiber,
+    point 0), and each point's moves in order.  A complete table is its
+    own relabelling from base point 0.  From each other seed s of the root
+    fiber the relabelling is built in that same order and compared as it
+    is built: the point u at queue position k carries its new label p,
+    the table's point at position k is p as long as the two sequences
+    agree, and each move compares u's relabelled image with the table's
+    entry at p.  The first difference decides the seed.  The sequence
+    determines the table, so this is a total order, and exactly one table
+    per tuple class is least, the one no seed relabels to a smaller one;
+    emitting only those deduplicates without storing anything.
 
     The pruned scan also cuts every prefix that another base point of the
     root fiber relabels to a smaller one (orderly generation inside the
@@ -110,8 +122,8 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
     retires the seed, since the table is then smaller than that
     relabelling whatever follows.  A dead end, where the queue
     runs out short of full, rejects the last choice without resuming any
-    seed.  The leaves are then exactly the tables ``_is_least`` accepts,
-    in the same order.
+    seed.  The leaves are then exactly the least tables of the unpruned
+    scan, in the same order.
 
     An unset entry with exactly one candidate label is deduced rather than
     chosen: when the target fiber's n < d used labels all have a preimage,
@@ -134,11 +146,10 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
     one, which is a deduction's only one.  Backtracking a frame pops the
     trail back to its length, undoing the changes newest first, and sets
     the frame's next open label; ``rewind`` is the only undo.  Each
-    complete table is yielded as ``(img, lam, extra)``: the live generator
+    complete table is yielded as ``(img, lam, aut)``: the live generator
     and gluing tables, which the caller must copy to keep, and, when
     pruning, the table's number of automorphisms (1 plus the seeds that
-    tied to the end); without pruning, per fiber the live row each move
-    reads with the fiber it lands in, as ``_is_least`` takes them.
+    tied to the end); without pruning, aut is None.
     """
     nf = len(st.fiber_names)
     ne = len(st.edge_ids)
@@ -186,7 +197,7 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
     # in a fixed order: generator slots first (img, pre), then incident
     # edges in listed order, forward from components (lam, lpre) and
     # backward from singulars (lpre, lam).  The same order drives the
-    # seed comparisons here and in _is_least.
+    # seed comparisons.
     plan = [[(img[f][sl], pre[f][sl], f, st.gen_checks[f][sl])
              for sl in range(len(gens))]
             for f, gens in enumerate(st.gen_ids)]
@@ -195,10 +206,6 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
         plan[cf].append((lam[ei], lpre[ei], sf, check))
         plan[sf].append((lpre[ei], lam[ei], cf, check))
     full = nf * d  # the queue holds every labelled point exactly once
-    # Per fiber, the row each move reads and its target fiber, as
-    # _is_least takes them; only the unpruned scan yields them.
-    moves = None if prune else [[(fwd, tf) for fwd, _, tf, _ in steps]
-                                for steps in plan]
 
     # Seed state, index s = 1..d-1 (slot 0 unused).  The comparison of
     # seed s stopped at queue position at_k[s], move at_m[s]; at_k[s] is
@@ -341,7 +348,7 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
         else:
             if len(queue) == full and advance():
                 yield img, lam, (1 + sum(at_k[s] == full for s in seeds)
-                                 if prune else moves)
+                                 if prune else None)
 
         # Undo everything since the top frame's last label and set its next
         # open one; pop frames whose labels are exhausted.
@@ -369,55 +376,3 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
                 break
         else:
             return
-
-
-def _is_least(d: int, moves) -> bool:
-    """True iff no other base point in the root fiber relabels the table to
-    one that is smaller in scan order (orderly acceptance).
-
-    ``moves[f]`` lists, in the scan's move order, the row each move of
-    fiber f reads (a generator row, a gluing or an inverse gluing) and the
-    fiber it lands in.  A table is compared as the sequence of its entries
-    in the order ``_scan`` fills them: the points in breadth-first order
-    from (root fiber, point 0), and each point's moves in order.  A table
-    emitted by ``_scan`` is its own relabelling from base point 0.  From
-    each other seed the relabelling is built in that same order and
-    compared as it is built: the point u at queue position k carries its
-    new label p, the table's point at position k is p as long as the two
-    sequences agree, and each move compares u's relabelled image with the
-    table's entry at p.  The first difference decides the seed.  The
-    sequence determines the table, so this is a total order, and exactly
-    one emitted table per tuple class is least; accepting only those
-    deduplicates without storing anything.
-
-    The census no longer calls this: the pruned ``_scan`` runs the same
-    comparisons inside the search, resumed entry by entry, and emits only
-    least tables.  It stays as the plain statement of the order, the
-    oracle the tests apply to ``_scan(st, d, prune=False)``.
-    """
-    nf = len(moves)
-    for seed in range(1, d):
-        m = [[-1] * d for _ in range(nf)]  # old label -> new label, per fiber
-        cnt = [0] * nf
-        m[0][seed] = 0
-        cnt[0] = 1
-        order = [(0, seed)]
-        for f, u in order:
-            p = m[f][u]
-            for row, tf in moves[f]:
-                mt = m[tf]
-                t = row[u]
-                new = mt[t]
-                if new < 0:
-                    new = mt[t] = cnt[tf]
-                    cnt[tf] = new + 1
-                    order.append((tf, t))
-                old = row[p]
-                if new != old:
-                    break
-            else:
-                continue
-            if new < old:
-                return False
-            break
-    return True

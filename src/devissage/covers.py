@@ -47,9 +47,13 @@ __all__ = [
 Fiber = tuple[int, dict[GenId, Perm]]  # (size, generator actions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescentTuple:
-    """Fibers with group actions, glued by bijections along edges."""
+    """Fibers with group actions, glued by bijections along edges.
+
+    The tuples ``enumerate_tuples`` returns share equal permutations,
+    fibers and node maps across its list, so their dicts must not be
+    mutated."""
 
     component_fibers: dict[str, Fiber]
     singular_fibers: dict[str, Fiber]
@@ -180,22 +184,39 @@ def tuple_components(cfg: Configuration, t: DescentTuple) -> tuple[frozenset, ..
 
 
 def _tuple_from_tables(st: _Structure, d: int, img, lam,
-                       rows: dict[Perm, Perm]) -> DescentTuple:
+                       shared: dict) -> DescentTuple:
     """The tuple of the scan's live tables, each row copied once and
-    replaced by its equal in ``rows`` when there is one."""
+    replaced by its equal in ``shared`` when there is one.
+
+    ``shared`` interns permutations by value, the fiber of every node
+    without generators under ``()``, any other fiber by its generators and
+    the ids of its rows, and node maps by their kind and the ids of the
+    fibers of their nodes with generators, since every other node holds
+    the ``()`` fiber.  The kinds of key cannot collide: a permutation
+    holds ints, a fiber key is empty or starts with a tuple, and a map
+    key starts with its kind, "c" or "s".  An id key is sound because
+    ``shared`` keeps every object it names alive; the kind keeps a
+    component map from standing for a singular map."""
     def share(row: list[int]) -> Perm:
         perm = tuple(row)
-        return rows.setdefault(perm, perm)
+        return shared.setdefault(perm, perm)
 
-    component_fibers: dict[str, Fiber] = {}
-    singular_fibers: dict[str, Fiber] = {}
+    blank: Fiber = shared.setdefault((), (d, {}))
+    maps: dict[str, dict[str, Fiber]] = {"c": {}, "s": {}}
+    keys: dict[str, list] = {"c": ["c"], "s": ["s"]}
     for f, (kind, name) in enumerate(st.fiber_names):
-        action = {g: share(img[f][sl]) for sl, g in enumerate(st.gen_ids[f])}
-        fiber: Fiber = (d, action)
-        if kind == "c":
-            component_fibers[name] = fiber
-        else:
-            singular_fibers[name] = fiber
+        gens = st.gen_ids[f]
+        fiber = blank
+        if gens:
+            rows = [share(row) for row in img[f]]
+            key = (gens, *map(id, rows))
+            fiber = shared.get(key)
+            if fiber is None:
+                fiber = shared[key] = (d, dict(zip(gens, rows)))
+            keys[kind].append(id(fiber))
+        maps[kind][name] = fiber
+    component_fibers = shared.setdefault(tuple(keys["c"]), maps["c"])
+    singular_fibers = shared.setdefault(tuple(keys["s"]), maps["s"])
     gluings = {eid: share(lam[ei]) for ei, eid in enumerate(st.edge_ids)}
     return DescentTuple(component_fibers, singular_fibers, gluings)
 
@@ -206,21 +227,26 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
 
     The scan emits exactly the tables that no other base point of the
     root fiber relabels to a table smaller in scan order (orderly
-    generation, see ``census._is_least``): it cuts a prefix as soon as some
+    generation, see ``census._scan``): it cuts a prefix as soon as some
     relabelling is smaller on it, so nothing is tested at the leaves and
     no dictionary of canonical forms is built.  Each tuple is returned in
     that least labelling, once, and the scan's fixed order makes the list
     deterministic.  The configuration must be connected (``_Structure``
     checks), so every fiber of a connected tuple has the same size, which
-    ``degree`` gives.  Equal permutations in the returned list, gluings
-    and generator actions alike, are one shared tuple: there are at most
-    d! distinct ones, against one per generator and edge in every tuple.
+    ``degree`` gives.
+
+    Equal objects in the returned list are one shared object: every
+    permutation, gluings and generator actions alike (at most d!
+    distinct ones, against one per generator and edge in every tuple),
+    every fiber, and every ``component_fibers`` and ``singular_fibers``
+    map.  Tuples whose node actions are equal differ only in their
+    ``gluings``.  Callers must not mutate a returned tuple's dicts.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     st = _Structure(cfg)
-    rows: dict[Perm, Perm] = {}
-    return [_tuple_from_tables(st, degree, img, lam, rows)
+    shared: dict = {}
+    return [_tuple_from_tables(st, degree, img, lam, shared)
             for img, lam, _ in _scan(st, degree)]
 
 

@@ -256,6 +256,57 @@ def naive_is_least(moves, d: int) -> bool:
     return True
 
 
+def scan_moves(img, lam, edge_fibers):
+    """Per fiber, the row each move of the census scan reads and the fiber
+    it lands in, rebuilt from a complete table.
+
+    ``img[f]`` are fiber f's generator rows, ``lam`` the gluings and
+    ``edge_fibers`` each edge's (component fiber, singular fiber).  A
+    fiber's moves are its generator rows, then its incident edges in
+    listed order: a component reads the gluing, a singular its inverse."""
+    moves = [[(row, f) for row in rows] for f, rows in enumerate(img)]
+    for row, (cf, sf) in zip(lam, edge_fibers):
+        moves[cf].append((row, sf))
+        moves[sf].append((inverse(row), cf))
+    return moves
+
+
+def is_least(d: int, moves) -> bool:
+    """True iff no other base point in the root fiber relabels the table to
+    one that is smaller in scan order (orderly acceptance), comparing each
+    seed's relabelling with the table as it is built.
+
+    ``moves`` is as ``scan_moves`` gives it.  This is the order the census
+    scan prunes by, stated at the leaves; ``naive_is_least`` states it by
+    relabelling in full before comparing."""
+    nf = len(moves)
+    for seed in range(1, d):
+        m = [[-1] * d for _ in range(nf)]  # old label -> new label, per fiber
+        cnt = [0] * nf
+        m[0][seed] = 0
+        cnt[0] = 1
+        order = [(0, seed)]
+        for f, u in order:
+            p = m[f][u]
+            for row, tf in moves[f]:
+                mt = m[tf]
+                t = row[u]
+                new = mt[t]
+                if new < 0:
+                    new = mt[t] = cnt[tf]
+                    cnt[tf] = new + 1
+                    order.append((tf, t))
+                old = row[p]
+                if new != old:
+                    break
+            else:
+                continue
+            if new < old:
+                return False
+            break
+    return True
+
+
 def generated_elements(gens: Sequence[Perm], d: int) -> list[Perm]:
     """All elements of the group generated by ``gens``, sorted (so the
     identity comes first)."""
