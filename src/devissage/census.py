@@ -139,17 +139,19 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
     memory rather than by the interpreter's recursion limit, and keeps
     one trail: every change, in the order it happens, whether a seed
     moves (its position and point count before the move) or an entry is
-    set (chosen or deduced).  Each frame is one choice point: the queue
-    position and move index of an unset entry, the last label tried
-    there, and the trail length before that label was set.  A choice
-    point and a deduction take their first label alike, the least open
-    one, which is a deduction's only one.  Backtracking a frame pops the
-    trail back to its length, undoing the changes newest first, and sets
-    the frame's next open label; ``rewind`` is the only undo.  Each
-    complete table is yielded as ``(img, lam, aut)``: the live generator
-    and gluing tables, which the caller must copy to keep, and, when
-    pruning, the table's number of automorphisms (1 plus the seeds that
-    tied to the end); without pruning, aut is None.
+    set (chosen or deduced).  Each frame is one choice point: (queue
+    position, move index, trail mark), the mark being the trail length
+    just before the entry was set, so the frame's label is the trail
+    entry at its mark.  Backtracking a frame pops the trail back to its
+    mark, undoing the changes newest first, and leaves the frame's next
+    open label pending; ``rewind`` is the only undo.  The forward scan
+    sets every label with the same lines and runs its check: a choice
+    point's first, the least open one, a deduction's only one, and a
+    backtracked frame's next.  Each complete table is yielded as
+    ``(img, lam, aut)``: the live generator and gluing tables, which the
+    caller must copy to keep, and, when pruning, the table's number of
+    automorphisms (1 plus the seeds that tied to the end); without
+    pruning, aut is None.
     """
     nf = len(st.fiber_names)
     ne = len(st.edge_ids)
@@ -308,8 +310,9 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
                     counts[tf] = q
                     queue.pop()
 
-    stack: list[list] = []
+    stack: list[tuple[int, int, int]] = []
     qi = mi = 0
+    q = -1  # a backtracked frame's next label, pending until the scan sets it
     while True:
         # Advance past assigned moves to the next choice point, or to the
         # end of the queue, where a table with every fiber full is complete.
@@ -318,26 +321,29 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
         # the table to a smaller one.  A dead end, short of full, or a
         # deduced entry that fails its check needs no seed; seeds resume
         # before a deduced entry that has a check, so that a rejection is
-        # seen before the check is paid for.
+        # seen before the check is paid for.  A pending label goes to the
+        # first unset entry, its frame's, with no frame push and no seed.
         while qi < len(queue):
             f, p = queue[qi]
             for fwd, bwd, tf, check in plan[f][mi:] if mi else plan[f]:
                 if fwd[p] < 0:
                     n = counts[tf]
-                    free = bwd.count(-1)  # the d - n fresh points, and gaps below n
-                    # the least open label, a deduction's only one
-                    q = bwd.index(-1)
-                    if free != d - n and free != 1:  # a choice point
-                        if not advance():
-                            break
-                        stack.append([qi, mi, q, len(trail)])
-                    elif check is not None and not advance():
-                        break  # a seed rejects an entry set before this one
+                    if q < 0:
+                        free = bwd.count(-1)  # the d - n fresh points, and gaps below n
+                        # the least open label, a deduction's only one
+                        q = bwd.index(-1)
+                        if free != d - n and free != 1:  # a choice point
+                            if not advance():
+                                break
+                            stack.append((qi, mi, len(trail)))
+                        elif check is not None and not advance():
+                            break  # a seed rejects an entry set before this one
                     fwd[p], bwd[q] = q, p
                     if q == n:
                         counts[tf] = n + 1
                         queue.append((tf, q))
                     trail.append((fwd, bwd, p, q, tf if q == n else -1))
+                    q = -1
                     if check is not None and not holds(*check):
                         break
                 mi += 1
@@ -350,29 +356,20 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
                 yield img, lam, (1 + sum(at_k[s] == full for s in seeds)
                                  if prune else None)
 
-        # Undo everything since the top frame's last label and set its next
-        # open one; pop frames whose labels are exhausted.
+        # Undo everything since the top frame's last label and leave its
+        # next open one pending for the scan; pop frames whose labels are
+        # exhausted.
         while stack:
-            frame = stack[-1]
-            qi, mi, q, mark = frame
+            qi, mi, mark = stack[-1]
+            q = trail[mark][3]  # the frame's label, which rewind pops
             rewind(mark)
-            f, p = queue[qi]
-            fwd, bwd, tf, check = plan[f][mi]
-            n = counts[tf]
-            for q in range(q + 1, min(n + 1, d)):
+            _, bwd, tf, _ = plan[queue[qi][0]][mi]
+            for q in range(q + 1, min(counts[tf] + 1, d)):
                 if bwd[q] < 0:
                     break
             else:
                 stack.pop()
                 continue
-            frame[2] = q
-            fwd[p], bwd[q] = q, p
-            if q == n:
-                counts[tf] = n + 1
-                queue.append((tf, q))
-            trail.append((fwd, bwd, p, q, tf if q == n else -1))
-            if check is None or holds(*check):
-                mi += 1
-                break
+            break
         else:
             return

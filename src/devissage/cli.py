@@ -54,8 +54,6 @@ def parse_probes(spec: str) -> tuple[PermGroupTarget, ...]:
         if n < 1 or n > 6:
             raise UsageError(f"probe size {n} out of range 1..6")
         probes.append(symmetric(n) if kind == "S" else cyclic(n))
-    if not probes:
-        raise UsageError("empty probe list")
     return tuple(probes)
 
 

@@ -265,7 +265,8 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
     generator's fixed points in p-cycles, and p divides the degree and
     every count.  The scan runs on an explicit stack, one entry per cell,
     so its depth (degree times rank) is not bounded by the interpreter's
-    recursion limit.
+    recursion limit; a cell's label is its own table entry, set while the
+    scan is below the cell and cleared once its labels are exhausted.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -332,8 +333,7 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
     plan = [(cell // r, cell % r, img[cell % r], pre[cell % r], by_gen[cell % r],
              (cell + 1) // r) for cell in range(cells)]
     fixed = [0] * r  # per generator, the points its row maps to themselves
-    tried = [-1] * cells  # the label set at each cell of the current path
-    known = [0] * cells   # points discovered when the cell was reached
+    known = [0] * cells  # points discovered when the cell was reached
     known[0] = 1
     limit = [min(n + 1, d) for n in range(d + 1)]  # labels open to n points
     aut_total = 0
@@ -341,7 +341,7 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
     cell = 0
     while cell >= 0:
         point, gi, row, col, rels, next_point = plan[cell]
-        n, q = known[cell], tried[cell]
+        n, q = known[cell], row[point]
         if q >= 0:
             row[point] = col[q] = -1
             if q == point:
@@ -364,10 +364,8 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
             if q == point:
                 fixed[gi] -= 1
         else:
-            tried[cell] = -1
             cell -= 1
             continue
-        tried[cell] = q
         cell += 1
         known[cell] = found
     if aut_total % d:

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homs import Hom, hom
-from .presentations import Presentation, rename_namespaces
+from .presentations import (Presentation, add_relations, free_product,
+                            rename_namespaces)
 from .words import GenId, Word, gen, reduce_word
 
 __all__ = [
@@ -240,11 +241,4 @@ def amalgamated_coproduct(p: Presentation, q: Presentation,
         raise ValueError("hom sources must equal the base")
     if f.target != p or g.target != q:
         raise ValueError("homs must land in the two factors")
-    clash = p.namespaces() & q.namespaces()
-    if clash:
-        raise ValueError(f"namespace collision: {sorted(clash)}")
-    rels = list(p.relations) + list(q.relations)
-    for x, fx in f.images:
-        gx = g.image(x)
-        rels.append(fx * gx.inverse())
-    return Presentation(p.generators + q.generators, tuple(rels))
+    return add_relations(free_product(p, q), ((fx, g.image(x)) for x, fx in f.images))

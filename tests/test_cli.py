@@ -270,9 +270,24 @@ def test_malformed_verdicts_file_exits_one(tmp_path, capsys, text):
     assert err.startswith("devissage: error reading verdicts: ") and err.count("\n") == 1
 
 
-def test_exit_one_on_bad_flag(tmp_path):
+BAD_FLAGS = {
+    "probes-nope": ["--probes", "nope"],
+    "probes-S7": ["--probes", "S7"],
+    "probes-Z0": ["--probes", "Z0"],
+    "probes-empty": ["--probes", ""],
+    "max-degree-0": ["--max-degree", "0"],
+    "max-degree-x": ["--max-degree", "x"],
+    "method-recursive": ["--method", "recursive"],
+    "bogus": ["--bogus"],
+}
+
+
+@pytest.mark.parametrize("args", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_exit_one_on_bad_flag(tmp_path, capsys, args):
     path = write(tmp_path, "c.json", NODAL)
-    assert main([path, "--probes", "nope"]) == 1
+    assert main([path, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("devissage: error: ") and err.count("\n") == 1
 
 
 def test_exit_one_on_missing_file():
