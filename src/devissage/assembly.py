@@ -144,34 +144,29 @@ def split_blocks(cfg: Configuration) -> tuple[SingularBlock, ...]:
     return tuple(blocks)
 
 
-def _ordered_blocks(cfg: Configuration) -> list[SingularBlock]:
-    """``split_blocks`` in ``block_order``; a heap holds the blocks that
-    meet the covered components, found through the incidence index, so no
-    step rescans the others."""
+def block_order(cfg: Configuration) -> tuple[str, ...]:
+    """Greedy ordering of the blocks so every prefix union is connected.
+
+    Start with the least singular id; repeatedly add the least-id block
+    whose component set meets the components covered so far.  A heap holds
+    the blocks that meet the covered components, found through the
+    incidence index, so no step rescans the others.  ``split_blocks``
+    checks connectivity, which guarantees the order completes.
+    """
     blocks = {b.singular: b for b in split_blocks(cfg)}
     heap = [min(blocks)]
     reached = set(heap)
     order = []
     while heap:
-        block = blocks[heapq.heappop(heap)]
-        order.append(block)
-        for cid in block.components:
+        sid = heapq.heappop(heap)
+        order.append(sid)
+        for cid in blocks[sid].components:
             for i in cfg._incident[("c", cid)]:
-                sid = cfg.edges[i].singular
-                if sid not in reached:
-                    reached.add(sid)
-                    heapq.heappush(heap, sid)
-    return order
-
-
-def block_order(cfg: Configuration) -> tuple[str, ...]:
-    """Greedy ordering of the blocks so every prefix union is connected.
-
-    Start with the least singular id; repeatedly add the least-id block
-    whose component set meets the components covered so far.  Connectivity
-    of the configuration guarantees the order completes.
-    """
-    return tuple(b.singular for b in _ordered_blocks(cfg))
+                other = cfg.edges[i].singular
+                if other not in reached:
+                    reached.add(other)
+                    heapq.heappush(heap, other)
+    return tuple(order)
 
 
 def assemble_recursive(cfg: Configuration) -> AssemblyResult:
@@ -197,11 +192,11 @@ def assemble_recursive(cfg: Configuration) -> AssemblyResult:
     dictionary: dict[GenId, Origin] = {}
     namespaces: set[str] = set()
     covered: set[str] = set()
-    for block in _ordered_blocks(cfg):
-        last = block.singular
-        shared = sorted(covered.intersection(block.components))
+    for last in block_order(cfg):
+        block = subconfiguration(cfg, [last])
+        shared = sorted(c.id for c in block.components if c.id in covered)
         assert shared or not covered, "each block meets the ones before it"
-        right = assemble_direct(subconfiguration(cfg, [last]))
+        right = assemble_direct(block)
         copies = {g: GenId(f"{g.namespace}@{last}", g.index)
                   for cid in shared for g in cfg.component(cid).group.generators}
         conj_ns = f"F@{last}"
@@ -227,5 +222,5 @@ def assemble_recursive(cfg: Configuration) -> AssemblyResult:
             if g in copies:
                 origin = Origin("component", origin.node, detail=f"copy@{last}")
             dictionary[copies.get(g, g)] = origin
-        covered.update(block.components)
+        covered.update(c.id for c in block.components)
     return AssemblyResult(Presentation(tuple(gens), tuple(rels)), dictionary, "recursive")

@@ -2,10 +2,8 @@
 on an explicit stack.
 
 ``covers`` builds descent tuples and counts them from what ``_scan``
-yields.  The search lives apart from the tuple API
-because each module is compiled when it is imported, and the compiler's
-peak memory, which is most of a short CLI run's, grows with the largest
-module.
+yields.  The search lives apart from that tuple API, which reads only the
+tables the scan yields and none of its index tables or trail.
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ import sys
 import time
 
 from .assembly import assemble_direct, assemble_recursive
-from .configuration import (Configuration, free_rank, is_connected,
-                            validate_config)
+from .configuration import Configuration, free_rank, validate_config
 from .covers import equivalence_report
 from .discreteness import discreteness_verdict
 from .homs import fingerprint
@@ -130,7 +129,7 @@ def run(cfg: Configuration, *, max_degree: int = 4, verify: bool = False,
         passed &= equiv.passed
 
     if restrictions is not None:
-        verdict = discreteness_verdict(cfg, results["direct"], restrictions)
+        verdict = discreteness_verdict(cfg, restrictions)
         report["discreteness"] = emit_discreteness(verdict)
 
     if timings:
@@ -169,10 +168,6 @@ def main(argv: list[str] | None = None) -> int:
     if problems:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
         print(f"devissage: invalid configuration: {problems[0]}{more}", file=sys.stderr)
-        return 2
-    if not is_connected(cfg):
-        print("devissage: invalid configuration: incidence graph is not connected",
-              file=sys.stderr)
         return 2
 
     restrictions = None

@@ -127,7 +127,10 @@ def subconfiguration(cfg: Configuration, singular_ids) -> Configuration:
 
 
 def validate_config(cfg: Configuration) -> list[str]:
-    """Structural checks; returns a list of problems (empty means ok)."""
+    """Every reason a configuration is invalid, in a fixed order; empty
+    means ok.  The incidence graph must be connected; that is checked last,
+    and only when nothing else is wrong, because the graph of a
+    configuration with dangling or duplicated ids is not well defined."""
     errors: list[str] = []
     if not cfg.components:
         errors.append("configuration has no components")
@@ -183,6 +186,8 @@ def validate_config(cfg: Configuration) -> list[str]:
             errors.append(f"edge {e.id}: psi target is not the group of {e.component}")
         if e.phi.target != cfg.singular(e.singular).group:
             errors.append(f"edge {e.id}: phi target is not the group of {e.singular}")
+    if not errors and not is_connected(cfg):
+        errors.append("incidence graph is not connected")
     return errors
 
 

@@ -1,11 +1,14 @@
 """Three-valued discreteness propagation.
 
 A continuous homomorphism out of a topological group is *discrete* when its
-kernel is open.  For the groups assembled here the question reduces to the
-restrictions: a map out of a coproduct is discrete iff its restriction to
-every factor is, and passing to a quotient changes nothing.  Free factors
-are discrete outright.  The calculus below folds user-supplied per-piece
-verdicts through that structure, with ``unknown`` as the third value:
+kernel is open.  The fundamental group of a configuration is a quotient of
+the coproduct of its node groups and a free group whose rank is the
+incidence graph's first Betti number (``free_rank``), so the question
+reduces to the restrictions: a map out of a coproduct is discrete iff its
+restriction to every factor is, and passing to a quotient changes nothing.
+Free factors are discrete outright.  The calculus below folds
+user-supplied per-piece verdicts through that structure, read off the
+configuration alone, with ``unknown`` as the third value:
 any ``not-discrete`` wins, otherwise any ``unknown`` wins, otherwise
 ``discrete``.
 """
@@ -16,8 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Union
 
-from .assembly import AssemblyResult
-from .configuration import Configuration
+from .configuration import Configuration, free_rank
 
 __all__ = [
     "Verdict",
@@ -62,15 +64,17 @@ class DiscretenessVerdict:
 
 
 def discreteness_verdict(cfg: Configuration,
-                         result: AssemblyResult,
                          restrictions: Mapping[str, Verdict | str]) -> DiscretenessVerdict:
-    """Fold restriction verdicts through the assembled group.
+    """Fold restriction verdicts through the configuration's pieces and its
+    free factor.
 
     ``restrictions`` must cover every component; singulars with nontrivial
     groups must be covered too (trivial ones are discrete outright), and it
-    may name no other node.  The free conjugators contribute a discrete
-    free factor.  Edge relations are quotient steps and preserve the
-    verdict, so they contribute nothing.
+    may name no other node.  A free factor of rank ``free_rank(cfg)``, when
+    positive, is discrete and closes the list: the direct route's cotree
+    conjugators number that rank, and so do the recursive route's block
+    cotree and interface conjugators together.  Edge relations are
+    quotient steps and preserve the verdict, so they contribute nothing.
     """
     verdicts = {k: Verdict(v) for k, v in restrictions.items()}
     unknown = sorted(set(verdicts) - {n.id for n in (*cfg.components, *cfg.singulars)})
@@ -88,12 +92,10 @@ def discreteness_verdict(cfg: Configuration,
             entries.append((s.id, NodeVerdict(verdicts[s.id], "supplied restriction verdict")))
         else:
             raise ValueError(f"missing verdict for nontrivial singular {s.id}")
-    free_count = sum(1 for origin in result.dictionary.values()
-                     if origin.kind in ("edge", "conjugator"))
-    if free_count:
+    rank = free_rank(cfg)
+    if rank:
         entries.append(("(free factor)",
-                        NodeVerdict(Verdict.DISCRETE,
-                                    f"free factor of rank {free_count}")))
+                        NodeVerdict(Verdict.DISCRETE, f"free factor of rank {rank}")))
     overall = combine(v.verdict for _, v in entries)
     return DiscretenessVerdict(overall, tuple(entries))
 

@@ -204,32 +204,18 @@ def van_kampen_forms(inp: VKInput) -> VKForms:
 
     # Witnesses.  Form i <-> ii/iv: y goes to its first copy; the i-th copy
     # returns as v_i^-1 y v_i.  Form i <-> iii: the generators coincide.
-    def copy_to_i() -> dict[GenId, Word]:
-        images: dict[GenId, Word] = {g: gen(g) for g in inp.left.generators}
-        for i in range(1, s + 1):
-            v = F.v(i)
-            for y in inp.right.generators:
-                images[maps[i - 1][y]] = reduce_word(v.inverse() * gen(y) * v)
-        for g in F.presentation.generators:
-            images[g] = gen(g)
-        return images
-
-    def i_to_copy() -> dict[GenId, Word]:
-        images: dict[GenId, Word] = {g: gen(g) for g in inp.left.generators}
-        for y in inp.right.generators:
-            images[y] = gen(maps[0][y])
-        for g in F.presentation.generators:
-            images[g] = gen(g)
-        return images
-
+    # Forms (ii) and (iv) share their generators, so they share both maps.
     ident_i = {g: gen(g) for g in form_i.generators}
+    to_copy = {**ident_i, **{y: gen(maps[0][y]) for y in inp.right.generators}}
+    from_copy = {g: gen(g) for g in (*inp.left.generators, *F.presentation.generators)}
+    for i, mapping in enumerate(maps, start=1):
+        v = F.v(i)
+        from_copy.update((mapping[y], reduce_word(v.inverse() * gen(y) * v))
+                         for y in inp.right.generators)
     witnesses = (
-        IsoWitness(forward=hom(form_i, form_ii, i_to_copy()),
-                   backward=hom(form_ii, form_i, copy_to_i())),
-        IsoWitness(forward=hom(form_i, form_iii, ident_i),
-                   backward=hom(form_iii, form_i, ident_i)),
-        IsoWitness(forward=hom(form_i, form_iv, i_to_copy()),
-                   backward=hom(form_iv, form_i, copy_to_i())),
+        IsoWitness(hom(form_i, form_ii, to_copy), hom(form_ii, form_i, from_copy)),
+        IsoWitness(hom(form_i, form_iii, ident_i), hom(form_iii, form_i, ident_i)),
+        IsoWitness(hom(form_i, form_iv, to_copy), hom(form_iv, form_i, from_copy)),
     )
     return VKForms(form_i, form_ii, form_iii, form_iv, witnesses)
 

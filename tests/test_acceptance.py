@@ -180,11 +180,10 @@ def test_criterion_7_discreteness_calculus():
 
     # the coproduct biconditional on a real configuration
     cfg = CORPUS["cycle3"]
-    res = direct("cycle3")
     all_d = {c.id: Verdict.DISCRETE for c in cfg.components}
-    ok &= discreteness_verdict(cfg, res, all_d).overall == Verdict.DISCRETE
+    ok &= discreteness_verdict(cfg, all_d).overall == Verdict.DISCRETE
     for cid in list(all_d):
         flipped = dict(all_d)
         flipped[cid] = Verdict.NOT_DISCRETE
-        ok &= discreteness_verdict(cfg, res, flipped).overall == Verdict.NOT_DISCRETE
+        ok &= discreteness_verdict(cfg, flipped).overall == Verdict.NOT_DISCRETE
     report(7, "three-valued conjunction semantics, trees up to 6 leaves", ok)

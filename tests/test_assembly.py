@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 
 import pytest
@@ -16,6 +17,7 @@ from devissage.corpus import (all_trivial_corpus, bouquet, chain,
                               double_bouquet, equivariant_z2, full_corpus,
                               line_cycle, nodal_cubic, trivial_edge, z2_chain,
                               z2_double_bouquet, z2_nodal)
+from devissage import assembly
 from devissage.serialize import emit_assembly, render_report
 
 PROBES = (symmetric(2), cyclic(3), symmetric(3), cyclic(4))
@@ -304,6 +306,28 @@ def test_recursive_assembly_checks_a_linear_amount(monkeypatch):
         assemble_recursive(cfg)
         cost[n] = checked[0]
     assert cost[400] < 5 * cost[100]
+
+
+WORK_CONFIGS = {**full_corpus(), "line_cycle40": line_cycle(40)}
+
+
+@pytest.mark.parametrize("name", sorted(WORK_CONFIGS))
+def test_recursive_assembly_splits_once_and_assembles_each_block_once(name, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (assembly.split_blocks, assembly.subconfiguration, assembly.assemble_direct):
+        monkeypatch.setattr(assembly, fn.__name__, counted(fn))
+    cfg = WORK_CONFIGS[name]
+    assemble_recursive(cfg)
+    blocks = len(cfg.singulars)
+    assert calls == ({"split_blocks": 1, "subconfiguration": blocks,
+                      "assemble_direct": blocks} if blocks > 1 else {"assemble_direct": 1})
 
 
 @pytest.mark.parametrize("node,namespace", [

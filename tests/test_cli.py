@@ -254,6 +254,32 @@ def test_malformed_field_is_a_parse_error(tmp_path, capsys, path, value):
     assert err.startswith("devissage: parse error: ") and err.count("\n") == 1
 
 
+PRESENTATION = {"kind": "presentation", "generators": ["a"]}
+
+PARSE_MESSAGES = {
+    "item-not-object": (("components", 0), 5, "components[0]: expected an object"),
+    "duplicate-generators": (("components", 0, "group"),
+                             {**PRESENTATION, "generators": ["a", "a"]},
+                             "components[0]: generators must be a list of distinct names"),
+    "unknown-group-kind": (("components", 0, "group"), {"kind": "cyclic"},
+                           "components[0]: unknown group kind 'cyclic'"),
+    "word-not-array": (("components", 0, "group"), {**PRESENTATION, "relations": ["a"]},
+                       "components[0]: relation #0: a word is an array of signed names"),
+    "letter-not-string": (("components", 0, "group"), {**PRESENTATION, "relations": [[5]]},
+                          "components[0]: relation #0: bad letter 5"),
+    "psi-not-object": (("edges", 0, "psi"), ["a"],
+                       "edges[0]: psi: expected an object mapping names to words"),
+}
+
+
+@pytest.mark.parametrize("path,value,message", PARSE_MESSAGES.values(),
+                         ids=PARSE_MESSAGES.keys())
+def test_parse_error_names_its_place(path, value, message):
+    with pytest.raises(ConfigParseError) as exc:
+        parse_config_text(_malformed(path, value))
+    assert str(exc.value) == f"<config>: {message}"
+
+
 def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
     path = write(tmp_path, "deep.json", "[" * 100000 + "]" * 100000)
     assert main([path]) == 1
@@ -354,6 +380,17 @@ def test_exit_two_on_disconnected_config(tmp_path, capsys):
     assert "not connected" in capsys.readouterr().err
 
 
+def test_invalid_and_disconnected_config_names_one_problem(tmp_path, capsys):
+    # connectivity is reported only for a configuration with no other problem
+    doc = json.loads(NODAL)
+    doc["components"].append({"id": "X 2", "group": {"kind": "trivial"}})
+    path = write(tmp_path, "c.json", json.dumps(doc))
+    assert main([path]) == 2
+    err = capsys.readouterr().err
+    assert err == ("devissage: invalid configuration: invalid id 'X 2' "
+                   "(letters, digits, _, - only)\n")
+
+
 Z4 = {"kind": "finite", "degree": 4, "generators": [[1, 2, 3, 0]]}
 Z2_EDGE = {"kind": "finite", "degree": 2, "generators": [[1, 0]]}
 
@@ -427,6 +464,36 @@ def test_verify_report_matches_its_golden_digest(name, capsys):
     code = main([path, "--verify", "--max-degree", "5"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GOLDEN_REPORTS[name]
+
+
+# sha256 of stdout of ``--discreteness`` on each configs/*.json with every
+# component and singular marked discrete, pinned so that the verdicts and the
+# free factor's rank cannot move
+GOLDEN_DISCRETENESS = {
+    "cycle_of_two_lines.json":
+        "bfa96389cf2ac24fcfdf9dd35f23349ce91e2652da1eb2d52e133111dcb27bb1",
+    "equivariant_z2.json":
+        "9a2a7566452a77fd328b470c5f963d932659118880fa071f87bbbce6bf6cccad",
+    "nodal_cubic.json":
+        "6e4073fa4076d0e70bfb228ef9b2123c0447e21965e45419cf18d7e1b17ff147",
+    "s3_nodal.json":
+        "80649d2743ddebc7c8af324f82f243cf85d46ccddb9414c21a1dfb29562fe795",
+    "s4_nodal.json":
+        "6b96b235f45916679343c13a810b8f9dd8998ea0f8fc319593ee437519e85048",
+    "z2_nodal.json":
+        "48d1af2898f35957ee2696d749a08d237694d6f7a94056914ead5f3bce0c6af8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DISCRETENESS))
+def test_discreteness_report_matches_its_golden_digest(name, tmp_path, capsys):
+    path = Path(__file__).parents[1] / "configs" / name
+    cfg = parse_config_text(path.read_text())
+    verdicts = write(tmp_path, "v.json", json.dumps(
+        {n.id: "discrete" for n in (*cfg.components, *cfg.singulars)}))
+    assert main([str(path), "--discreteness", verdicts]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_DISCRETENESS[name]
 
 
 def test_report_file_and_timings_flag(tmp_path):

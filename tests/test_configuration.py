@@ -69,6 +69,39 @@ def test_psi_source_mismatch_detected():
     assert any("psi source" in e for e in errs)
 
 
+Z2W = cyclic_presentation("w", 2)
+X1, X2, Z1 = ComponentNode("X1", TRIV), ComponentNode("X2", TRIV), SingularNode("Z1", TRIV)
+
+
+def _one_edge(comp_id="X1", edge_comp="X1", phi=None):
+    """A component and Z1 joined by one trivial edge, whose component
+    reference and phi can be swapped for bad ones."""
+    return Configuration((ComponentNode(comp_id, TRIV),), (Z1,),
+                         (Edge("e1", edge_comp, "Z1", TRIV, hom(TRIV, TRIV, {}),
+                               phi or hom(TRIV, TRIV, {})),))
+
+
+PROBLEMS = {
+    "no-components": (Configuration((), (), ()), "configuration has no components"),
+    "invalid-id": (_one_edge("X 1", "X 1"),
+                   "invalid id 'X 1' (letters, digits, _, - only)"),
+    "unknown-component": (_one_edge(edge_comp="Xmissing"),
+                          "edge e1: unknown component 'Xmissing'"),
+    "phi-source": (_one_edge(phi=hom(Z2W, TRIV, {Z2W.generators[0]: Word()})),
+                   "edge e1: phi source is not the edge group"),
+    "phi-target": (_one_edge(phi=hom(TRIV, Z2W, {})),
+                   "edge e1: phi target is not the group of Z1"),
+    "disconnected": (Configuration((X1, X2), (Z1,), (trivial_edge("e1", X1, Z1),
+                                                     trivial_edge("e2", X1, Z1))),
+                     "incidence graph is not connected"),
+}
+
+
+@pytest.mark.parametrize("cfg,problem", PROBLEMS.values(), ids=PROBLEMS.keys())
+def test_validate_config_names_the_one_problem(cfg, problem):
+    assert validate_config(cfg) == [problem]
+
+
 # --- graph -------------------------------------------------------------------
 
 def test_nodal_cubic_graph():

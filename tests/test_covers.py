@@ -659,6 +659,16 @@ def test_dictionary_rejects_results_without_a_tree():
         tuple_of_rep(cfg, res, h)
 
 
+def test_tuple_of_rep_rejects_a_representation_of_another_presentation():
+    cfg = z2_nodal()
+    res = assemble_direct(cfg)
+    other = assemble_direct(nodal_cubic()).presentation
+    rep = next(iter(enumerate_homs(other, symmetric(2))))
+    with pytest.raises(ValueError,
+                       match="^representation is not of the assembled presentation$"):
+        tuple_of_rep(cfg, res, rep)
+
+
 def test_tuple_of_rep_rejects_relator_violation():
     cfg = z2_nodal()
     res = assemble_direct(cfg)

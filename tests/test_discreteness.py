@@ -7,9 +7,11 @@ import itertools
 import pytest
 
 from devissage import (Coproduct, Leaf, Quotient, Verdict, assemble_direct,
-                       combine, discreteness_verdict, fold_verdicts)
-from devissage.corpus import equivariant_z2, line_cycle, nodal_cubic, z2_chain
-from devissage.discreteness import tree_leaves
+                       assemble_recursive, combine, discreteness_verdict,
+                       fold_verdicts, free_rank)
+from devissage.corpus import (equivariant_z2, full_corpus, line_cycle,
+                              nodal_cubic, z2_chain)
+from devissage.discreteness import NodeVerdict, tree_leaves
 
 D, N, U = Verdict.DISCRETE, Verdict.NOT_DISCRETE, Verdict.UNKNOWN
 
@@ -24,76 +26,83 @@ def test_combine_basics():
 
 def test_all_discrete_components_give_discrete():
     cfg = line_cycle(3)
-    res = assemble_direct(cfg)
-    out = discreteness_verdict(cfg, res, {c.id: D for c in cfg.components})
+    out = discreteness_verdict(cfg, {c.id: D for c in cfg.components})
     assert out.overall == D
 
 
 def test_one_not_discrete_component_gives_not_discrete():
     cfg = line_cycle(3)
-    res = assemble_direct(cfg)
     verdicts = {c.id: D for c in cfg.components}
     verdicts["X2"] = N
-    assert discreteness_verdict(cfg, res, verdicts).overall == N
+    assert discreteness_verdict(cfg, verdicts).overall == N
 
 
 def test_one_unknown_rest_discrete_gives_unknown():
     cfg = line_cycle(3)
-    res = assemble_direct(cfg)
     verdicts = {c.id: D for c in cfg.components}
     verdicts["X2"] = U
-    assert discreteness_verdict(cfg, res, verdicts).overall == U
+    assert discreteness_verdict(cfg, verdicts).overall == U
 
 
 def test_missing_component_verdict_raises():
     cfg = nodal_cubic()
-    res = assemble_direct(cfg)
     with pytest.raises(ValueError, match="missing verdict"):
-        discreteness_verdict(cfg, res, {})
+        discreteness_verdict(cfg, {})
 
 
 def test_nontrivial_singular_needs_verdict():
     cfg = equivariant_z2()
-    res = assemble_direct(cfg)
     with pytest.raises(ValueError, match="singular"):
-        discreteness_verdict(cfg, res, {"X1": D})
-    out = discreteness_verdict(cfg, res, {"X1": D, "Z1": D})
+        discreteness_verdict(cfg, {"X1": D})
+    out = discreteness_verdict(cfg, {"X1": D, "Z1": D})
     assert out.overall == D
 
 
 def test_verdict_for_unknown_node_raises():
     cfg = nodal_cubic()
-    res = assemble_direct(cfg)
     with pytest.raises(ValueError, match="^verdict given for unknown node Q$"):
-        discreteness_verdict(cfg, res, {"X1": D, "R": D, "Q": D})
+        discreteness_verdict(cfg, {"X1": D, "R": D, "Q": D})
     # a trivial singular is known, so its verdict is accepted
-    assert discreteness_verdict(cfg, res, {"X1": D, "Z1": U}).overall == D
+    assert discreteness_verdict(cfg, {"X1": D, "Z1": U}).overall == D
 
 
 def test_free_factor_is_reported_discrete():
     cfg = nodal_cubic()
-    res = assemble_direct(cfg)
-    out = discreteness_verdict(cfg, res, {"X1": D})
+    out = discreteness_verdict(cfg, {"X1": D})
     names = dict(out.per_node)
     assert names["(free factor)"].verdict == D
 
 
+@pytest.mark.parametrize("name", sorted(full_corpus()))
+def test_free_factor_entry_has_the_free_rank(name):
+    # the entry closes the list exactly when the incidence graph has cycles
+    cfg = full_corpus()[name]
+    nodes = [n.id for n in (*cfg.components, *cfg.singulars)]
+    rank = free_rank(cfg)
+    out = discreteness_verdict(cfg, dict.fromkeys(nodes, D))
+    assert [node for node, _ in out.per_node[:len(nodes)]] == nodes
+    assert list(out.per_node[len(nodes):]) == (
+        [("(free factor)", NodeVerdict(D, f"free factor of rank {rank}"))] if rank else [])
+    # both routes present a free factor of exactly that rank
+    for res in (assemble_direct(cfg), assemble_recursive(cfg)):
+        assert sum(origin.kind in ("edge", "conjugator")
+                   for origin in res.dictionary.values()) == rank
+
+
 def test_string_verdicts_accepted():
     cfg = nodal_cubic()
-    res = assemble_direct(cfg)
-    assert discreteness_verdict(cfg, res, {"X1": "unknown"}).overall == U
+    assert discreteness_verdict(cfg, {"X1": "unknown"}).overall == U
 
 
 def test_monotone_in_upgrades():
     # upgrading unknown -> discrete never flips discrete to not-discrete
     cfg = z2_chain()
-    res = assemble_direct(cfg)
     base = {c.id: U for c in cfg.components}
     for cid in [c.id for c in cfg.components]:
         upgraded = dict(base)
         upgraded[cid] = D
-        before = discreteness_verdict(cfg, res, base).overall
-        after = discreteness_verdict(cfg, res, upgraded).overall
+        before = discreteness_verdict(cfg, base).overall
+        after = discreteness_verdict(cfg, upgraded).overall
         assert (before, after) in {(U, U), (U, D)}
 
 

@@ -121,6 +121,34 @@ def test_hom_requires_all_images():
         hom(Z2, symmetric(2), {})
 
 
+A = Z2.generators[0]
+ID_Z2 = hom(Z2, Z2, {A: gen(A)})
+
+HOM_CHECKS = {
+    "missing-image": (lambda: hom(Z2, symmetric(2), {}), "missing image for a.0"),
+    "wrong-degree": (lambda: hom(Z2, symmetric(3), {A: (1, 0)}),
+                     "image of a.0 is not a degree-3 permutation"),
+    "not-a-word": (lambda: hom(Z2, Z2, {A: "a"}), "image of a.0 must be a word"),
+    "unknown-generator": (lambda: hom(Z2, Z2, {A: gen(GenId("b", 0))}),
+                          "image of a.0 uses unknown generators ['b.0']"),
+    "extra-image": (lambda: hom(Presentation(()), Z2, {A: gen(A)}),
+                    "images given for non-generators ['a.0']"),
+    "verify-word-target": (lambda: verify_hom(ID_Z2),
+                           "verify_hom needs a finite permutation target"),
+    "pullback-word-target": (lambda: pullback(ID_Z2, ID_Z2),
+                             "pullback target must be a permutation group"),
+    "pullback-misaligned": (lambda: pullback(hom(Z3, symmetric(3), {A: (1, 2, 0)}), ID_Z2),
+                            "hom sources do not line up"),
+}
+
+
+@pytest.mark.parametrize("call,message", HOM_CHECKS.values(), ids=HOM_CHECKS.keys())
+def test_hom_checks_name_the_bad_input(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 # --- fingerprints ----------------------------------------------------------
 
 def test_fingerprint_free_rank_two():

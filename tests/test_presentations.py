@@ -28,6 +28,12 @@ def test_duplicate_generator_rejected():
         Presentation((a, a))
 
 
+@pytest.mark.parametrize("order", [0, -1])
+def test_cyclic_order_must_be_positive(order):
+    with pytest.raises(ValueError, match="^order must be positive$"):
+        cyclic_presentation("a", order)
+
+
 def test_free_product_is_union():
     p = cyclic_presentation("a", 2)
     q = cyclic_presentation("b", 3)

@@ -112,6 +112,31 @@ def test_psi_target_mismatch_rejected():
         van_kampen(VKInput(left, right, (bad,)))
 
 
+L2, R2, E = cyclic_presentation("a", 2), cyclic_presentation("b", 2), trivial_presentation()
+
+VK_CHECKS = {
+    "v-below-range": (lambda: conjugator_group(3).v(0), "index 0 out of range"),
+    "v-above-range": (lambda: conjugator_group(3).v(4), "index 4 out of range"),
+    "no-interfaces": (lambda: van_kampen(VKInput(L2, R2, ())), "need at least one interface"),
+    "hom-source": (lambda: van_kampen(VKInput(L2, R2, (Interface(
+        E, hom(L2, L2, {L2.generators[0]: Word()}), hom(E, R2, {})),))),
+        "interface 1: hom source mismatch"),
+    "phi-target": (lambda: van_kampen(VKInput(L2, R2, (Interface(
+        E, hom(E, L2, {}), hom(E, L2, {})),))),
+        "interface 1: phi must land in the right group"),
+    "amalgam-targets": (lambda: amalgamated_coproduct(L2, R2, E, hom(E, R2, {}),
+                                                      hom(E, R2, {})),
+                        "homs must land in the two factors"),
+}
+
+
+@pytest.mark.parametrize("call,message", VK_CHECKS.values(), ids=VK_CHECKS.keys())
+def test_van_kampen_checks_name_the_bad_input(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 # --- the four forms ---------------------------------------------------------
 
 def sample_inputs():
