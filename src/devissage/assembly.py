@@ -32,8 +32,6 @@ __all__ = [
     "AssemblyResult",
     "free_edge_generator",
     "assemble_direct",
-    "SingularBlock",
-    "split_blocks",
     "block_order",
     "assemble_recursive",
 ]
@@ -114,54 +112,32 @@ def assemble_direct(cfg: Configuration, root: str | None = None) -> AssemblyResu
     return AssemblyResult(pres, dictionary, "direct", tree=tree, root=root)
 
 
-@dataclass(frozen=True)
-class SingularBlock:
-    """One singular locus with its incident edges and adjacent components."""
+def block_order(cfg: Configuration) -> tuple[str, ...]:
+    """Greedy ordering of the blocks so every prefix union is connected.
 
-    singular: str
-    components: tuple[str, ...]
-    edges: tuple[str, ...]
-
-
-def split_blocks(cfg: Configuration) -> tuple[SingularBlock, ...]:
-    """Partition the configuration into singular-centered blocks.
-
-    Block j consists of singular j, its incident edges in listed order, and
-    every component adjacent to it, read from the configuration's incidence
-    index.  A block is a star around its singular, so it is connected and
-    meets no other singular.  Connectivity gives every singular an edge.
+    Block s is ``subconfiguration(cfg, [s])``: singular s, its incident
+    edges and the components they reach.  Start with the least singular id;
+    repeatedly add the least-id block whose components meet the components
+    covered so far.  A heap holds the blocks that meet the covered
+    components; a component's incident edges are read once, when it is
+    first covered, so the walk reads each edge at most twice.  Connectivity
+    guarantees the order completes.
     """
     if not is_connected(cfg):
         raise DisconnectedError("assembly requires a connected configuration")
     if not cfg.singulars:
         raise ValueError("no singulars: the configuration is a single regular component")
-    blocks = []
-    for s in cfg.singulars:
-        edges = [cfg.edges[i] for i in cfg._incident[("s", s.id)]]
-        blocks.append(SingularBlock(s.id,
-                                    tuple(sorted({e.component for e in edges})),
-                                    tuple(e.id for e in edges)))
-    return tuple(blocks)
-
-
-def block_order(cfg: Configuration) -> tuple[str, ...]:
-    """Greedy ordering of the blocks so every prefix union is connected.
-
-    Start with the least singular id; repeatedly add the least-id block
-    whose component set meets the components covered so far.  A heap holds
-    the blocks that meet the covered components, found through the
-    incidence index, so no step rescans the others.  ``split_blocks``
-    checks connectivity, which guarantees the order completes.
-    """
-    blocks = {b.singular: b for b in split_blocks(cfg)}
-    heap = [min(blocks)]
+    incident = cfg._incident
+    heap = [min(s.id for s in cfg.singulars)]
     reached = set(heap)
+    covered: set[str] = set()
     order = []
     while heap:
         sid = heapq.heappop(heap)
         order.append(sid)
-        for cid in blocks[sid].components:
-            for i in cfg._incident[("c", cid)]:
+        for cid in {cfg.edges[i].component for i in incident[("s", sid)]} - covered:
+            covered.add(cid)
+            for i in incident[("c", cid)]:
                 other = cfg.edges[i].singular
                 if other not in reached:
                     reached.add(other)
@@ -205,7 +181,7 @@ def assemble_recursive(cfg: Configuration) -> AssemblyResult:
         # validate_config reserves "@" and makes namespaces unique, so only
         # unvalidated inputs can collide; the incoming block is checked alone
         spaces = {g.namespace for g in block_gens}
-        clash = namespaces & spaces | (namespaces | spaces) & {conj_ns}
+        clash = namespaces & (spaces | {conj_ns}) | spaces & {conj_ns}
         if clash:
             raise ValueError(f"namespace collision: {sorted(clash)}")
         namespaces |= spaces | {x.namespace for x in conjugators}

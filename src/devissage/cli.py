@@ -86,6 +86,8 @@ def run(cfg: Configuration, *, max_degree: int = 4, verify: bool = False,
         timings: bool = False) -> tuple[dict, bool]:
     """Assemble, fingerprint, optionally verify; returns (report, all passed)."""
     probes = probes or parse_probes(DEFAULT_PROBES)
+    # a bad verdicts file fails before the search, not after it
+    verdict = None if restrictions is None else discreteness_verdict(cfg, restrictions)
     clock: dict[str, float] = {}
 
     def phase(name: str, fn):
@@ -128,8 +130,7 @@ def run(cfg: Configuration, *, max_degree: int = 4, verify: bool = False,
         }
         passed &= equiv.passed
 
-    if restrictions is not None:
-        verdict = discreteness_verdict(cfg, restrictions)
+    if verdict is not None:
         report["discreteness"] = emit_discreteness(verdict)
 
     if timings:

@@ -11,7 +11,7 @@ from devissage import (ComponentNode, Configuration, DisconnectedError,
                        GenId, Presentation, SingularNode, assemble_direct,
                        assemble_recursive, block_order, cyclic,
                        cyclic_presentation, fingerprint, free_edge_generator,
-                       free_rank, hom_count, split_blocks, subconfiguration,
+                       free_rank, hom_count, subconfiguration,
                        symmetric, trivial_presentation, word)
 from devissage.corpus import (all_trivial_corpus, bouquet, chain,
                               double_bouquet, equivariant_z2, full_corpus,
@@ -35,6 +35,27 @@ def z2_lines(n: int, closed: bool) -> Configuration:
         edges.append(trivial_edge(f"e{i}a", comps[i - 1], sings[i - 1]))
         edges.append(trivial_edge(f"e{i}b", comps[i % n], sings[i - 1]))
     return Configuration(comps, sings, tuple(edges))
+
+
+def comb(n: int) -> Configuration:
+    """A line X0 crossed by n lines, line X_i at its own point Z_i: one
+    component meets every singular."""
+    comps = tuple(ComponentNode(f"X{i}", trivial_presentation()) for i in range(n + 1))
+    sings = tuple(SingularNode(f"Z{i}", trivial_presentation()) for i in range(1, n + 1))
+    edges = []
+    for i, z in enumerate(sings, 1):
+        edges.append(trivial_edge(f"e{i}a", comps[0], z))
+        edges.append(trivial_edge(f"e{i}b", comps[i], z))
+    return Configuration(comps, sings, tuple(edges))
+
+
+def nodes(n: int) -> Configuration:
+    """One component X1 with n nodes Z_1..Z_n, each node met by two edges."""
+    comp = ComponentNode("X1", trivial_presentation())
+    sings = tuple(SingularNode(f"Z{i}", trivial_presentation()) for i in range(1, n + 1))
+    edges = tuple(trivial_edge(f"e{i}{side}", comp, z)
+                  for i, z in enumerate(sings, 1) for side in "ab")
+    return Configuration((comp,), sings, edges)
 
 
 # --- direct ------------------------------------------------------------------
@@ -110,24 +131,28 @@ def test_root_choice_never_changes_fingerprints():
 
 # --- blocks and their order --------------------------------------------------
 
+def block_ids(cfg: Configuration, sid: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The component ids and edge ids of the block of singular ``sid``."""
+    block = subconfiguration(cfg, [sid])
+    return tuple(c.id for c in block.components), tuple(e.id for e in block.edges)
+
+
 def test_single_singular_block_is_whole_config():
-    blocks = split_blocks(bouquet(3))
-    assert len(blocks) == 1
-    assert blocks[0].components == ("X1",)
-    assert set(blocks[0].edges) == {"e1", "e2", "e3"}
+    cfg = bouquet(3)
+    assert block_ids(cfg, "Z1") == (("X1",), ("e1", "e2", "e3"))
+    assert subconfiguration(cfg, ["Z1"]) == cfg
 
 
 def test_cycle_blocks():
-    blocks = {b.singular: b for b in split_blocks(line_cycle(2))}
-    assert set(blocks["Z1"].components) == {"X1", "X2"}
-    assert set(blocks["Z2"].components) == {"X1", "X2"}
+    cfg = line_cycle(2)
+    assert block_ids(cfg, "Z1") == (("X1", "X2"), ("e1a", "e1b"))
+    assert block_ids(cfg, "Z2") == (("X1", "X2"), ("e2a", "e2b"))
 
 
 def test_chain_blocks_and_order():
     cfg = chain(3)
-    blocks = {b.singular: b for b in split_blocks(cfg)}
-    assert blocks["Z1"].components == ("X1", "X2")
-    assert blocks["Z2"].components == ("X2", "X3")
+    assert block_ids(cfg, "Z1")[0] == ("X1", "X2")
+    assert block_ids(cfg, "Z2")[0] == ("X2", "X3")
     assert block_order(cfg) == ("Z1", "Z2")
 
 
@@ -140,11 +165,34 @@ def test_single_block_order():
     assert block_order(bouquet(3)) == ("Z1",)
 
 
-def test_split_blocks_rejects_no_singulars():
-    from devissage import ComponentNode, Configuration, trivial_presentation
+def test_block_order_rejects_no_singulars():
     cfg = Configuration((ComponentNode("X1", trivial_presentation()),), (), ())
-    with pytest.raises(ValueError):
-        split_blocks(cfg)
+    with pytest.raises(ValueError, match="^no singulars: the configuration is "
+                                         "a single regular component$"):
+        block_order(cfg)
+
+
+class CountingIncidence(dict):
+    """An incidence index that adds up the entries of every list it hands out."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        self.read += len(out)
+        return out
+
+
+@pytest.mark.parametrize("build", [nodes, comb])
+def test_block_order_reads_each_edge_at_most_twice(build):
+    # one component meets all 400 singulars: rereading its edges per
+    # singular would read 160 000 entries or more
+    cfg = build(400)
+    index = CountingIncidence(cfg._incident)
+    cfg.__dict__["_incident"] = index
+    # the first block covers the hub, which reaches every other singular
+    assert block_order(cfg) == tuple(sorted(s.id for s in cfg.singulars))
+    assert index.read <= 2 * len(cfg.edges)
 
 
 def test_subconfiguration_induced():
@@ -321,12 +369,12 @@ def test_recursive_assembly_splits_once_and_assembles_each_block_once(name, monk
             return fn(*args, **kwargs)
         return wrapper
 
-    for fn in (assembly.split_blocks, assembly.subconfiguration, assembly.assemble_direct):
+    for fn in (assembly.block_order, assembly.subconfiguration, assembly.assemble_direct):
         monkeypatch.setattr(assembly, fn.__name__, counted(fn))
     cfg = WORK_CONFIGS[name]
     assemble_recursive(cfg)
     blocks = len(cfg.singulars)
-    assert calls == ({"split_blocks": 1, "subconfiguration": blocks,
+    assert calls == ({"block_order": 1, "subconfiguration": blocks,
                       "assemble_direct": blocks} if blocks > 1 else {"assemble_direct": 1})
 
 

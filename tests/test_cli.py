@@ -569,6 +569,19 @@ def test_cli_invalid_verdict_value_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "devissage: error: 'bogus' is not a valid Verdict\n"
 
 
+def test_invalid_verdicts_fail_before_any_assembly(tmp_path, capsys, monkeypatch):
+    def no_assembly(cfg, root=None):
+        raise AssertionError("assembled before the verdicts were checked")
+
+    monkeypatch.setattr("devissage.cli.assemble_direct", no_assembly)
+    cfg_path = write(tmp_path, "c.json", NODAL)
+    verdicts = write(tmp_path, "v.json", json.dumps({"X1": "discrete", "Z1": "maybe"}))
+    assert main([cfg_path, "--discreteness", verdicts, "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "devissage: error: 'maybe' is not a valid Verdict\n"
+
+
 # --- fuzzing -----------------------------------------------------------------
 
 CONFIG_DOCS = [json.loads(path.read_text()) for path in

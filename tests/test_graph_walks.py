@@ -1,10 +1,12 @@
 """Blocks, block order and spanning trees against plain references.
 
-The references read nothing but the configuration's tuples: blocks come
-from ``subconfiguration``, the block order from the greedy rule as its
-docstring states it, and the spanning tree from a breadth-first search that
-rescans the whole edge list at every vertex.  Edge-shuffled copies make the
-edges of different singulars interleave, as ``perfbench`` relabelling does.
+A block is ``subconfiguration(cfg, [s])``; it is checked against a rescan
+of the edge list.  The block order is checked against the greedy rule as
+its docstring states it, applied to those blocks, and the spanning tree
+against a breadth-first search that rescans the whole edge list at every
+vertex.  Edge-shuffled copies make the edges of different singulars
+interleave, as ``perfbench`` relabelling does; ``comb`` and ``nodes`` are
+hubs, one component meeting every singular.
 """
 
 from __future__ import annotations
@@ -15,28 +17,24 @@ from pathlib import Path
 import pytest
 
 from devissage import (ComponentNode, Configuration, DisconnectedError,
-                       SingularBlock, SingularNode, assemble_direct,
-                       block_order, configuration, enumerate_tuples,
-                       is_connected, split_blocks, spanning_tree,
-                       subconfiguration, trivial_presentation)
+                       SingularNode, assemble_direct, block_order,
+                       configuration, enumerate_tuples, is_connected,
+                       spanning_tree, subconfiguration, trivial_presentation)
 from devissage.cli import main
 from devissage.corpus import full_corpus, line_cycle
+from test_assembly import comb, nodes
 
 CONFIG_FILES = sorted(Path(__file__).parents[1].glob("configs/*.json"))
 
 
-def reference_blocks(cfg: Configuration) -> tuple[SingularBlock, ...]:
-    blocks = []
-    for s in cfg.singulars:
-        sub = subconfiguration(cfg, [s.id])
-        blocks.append(SingularBlock(s.id,
-                                    tuple(sorted({e.component for e in sub.edges})),
-                                    tuple(e.id for e in sub.edges)))
-    return tuple(blocks)
+def reference_blocks(cfg: Configuration) -> dict[str, set[str]]:
+    """Singular id -> the component ids of its block."""
+    return {s.id: {c.id for c in subconfiguration(cfg, [s.id]).components}
+            for s in cfg.singulars}
 
 
 def reference_order(cfg: Configuration) -> tuple[str, ...]:
-    components = {b.singular: set(b.components) for b in reference_blocks(cfg)}
+    components = reference_blocks(cfg)
     order = [min(components)]
     covered = set(components[order[0]])
     while len(order) < len(components):
@@ -76,6 +74,7 @@ def shuffled(cfg: Configuration, seed: int) -> Configuration:
 def cases():
     base = dict(full_corpus())
     base.update({f"line_cycle{n}": line_cycle(n) for n in (1, 6, 40)})
+    base.update({"comb6": comb(6), "nodes6": nodes(6), "comb40": comb(40)})
     out = []
     for name, cfg in base.items():
         out.append(pytest.param(cfg, id=name))
@@ -86,7 +85,11 @@ def cases():
 
 @pytest.mark.parametrize("cfg", cases())
 def test_blocks_and_order_match_reference(cfg):
-    assert split_blocks(cfg) == reference_blocks(cfg)
+    for s in cfg.singulars:
+        edges = tuple(e for e in cfg.edges if e.singular == s.id)
+        reached = {e.component for e in edges}
+        assert subconfiguration(cfg, [s.id]) == Configuration(
+            tuple(c for c in cfg.components if c.id in reached), (s,), edges)
     assert block_order(cfg) == reference_order(cfg)
 
 
@@ -118,7 +121,7 @@ def test_spanning_tree_error_messages():
         spanning_tree(cut)
     with pytest.raises(DisconnectedError,
                        match="^assembly requires a connected configuration$"):
-        split_blocks(cut)
+        block_order(cut)
 
 
 # --- one incidence index and one walk per configuration --------------------
@@ -171,11 +174,11 @@ def test_empty_configuration_is_not_connected():
     assert not is_connected(Configuration((), (), ()))
 
 
-def test_split_blocks_rejects_a_singular_without_edges():
+def test_block_order_rejects_a_singular_without_edges():
     cfg = line_cycle(3)
     lonely = Configuration(cfg.components,
                            cfg.singulars + (SingularNode("Z9", trivial_presentation()),),
                            cfg.edges)
     with pytest.raises(DisconnectedError,
                        match="^assembly requires a connected configuration$"):
-        split_blocks(lonely)
+        block_order(lonely)
