@@ -14,10 +14,9 @@ from devissage.corpus import nodal_cubic, z2_nodal
 
 cfg = nodal_cubic()
 
-same = DescentTuple({"X1": (2, {})}, {"Z1": (2, {})},
-                    {"e1": (0, 1), "e2": (0, 1)})
-cross = DescentTuple({"X1": (2, {})}, {"Z1": (2, {})},
-                     {"e1": (0, 1), "e2": (1, 0)})
+# The gluings are listed in the order of cfg.edges: e1, then e2.
+same = DescentTuple({"X1": (2, {})}, {"Z1": (2, {})}, ((0, 1), (0, 1)))
+cross = DescentTuple({"X1": (2, {})}, {"Z1": (2, {})}, ((0, 1), (1, 0)))
 
 for name, t in [("parallel gluings", same), ("crossed gluings", cross)]:
     blocks = tuple_components(cfg, t)

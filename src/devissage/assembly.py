@@ -20,10 +20,11 @@ isomorphism, which the test suite checks through fingerprints.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .configuration import (Configuration, DisconnectedError, is_connected,
-                            spanning_tree, subconfiguration)
+from .configuration import (ComponentNode, Configuration, DisconnectedError,
+                            Edge, SingularNode, is_connected, spanning_tree)
 from .presentations import Presentation
 from .words import GenId, Word, gen
 
@@ -73,6 +74,34 @@ def free_edge_generator(edge_id: str) -> GenId:
     return GenId(f"x.{edge_id}", 0)
 
 
+def _assemble(components: Sequence[ComponentNode], singulars: Sequence[SingularNode],
+              edges: Sequence[Edge], cotree: set[str]
+              ) -> tuple[list[GenId], list[Word], dict[GenId, Origin]]:
+    """Generators, relators and dictionary of the nodes and edges given,
+    with a free conjugator for each edge whose id is in ``cotree``: the
+    spanning-tree assembly of both routes, before any renaming."""
+    gens: list[GenId] = []
+    rels: list[Word] = []
+    dictionary: dict[GenId, Origin] = {}
+    for kind, nodes in (("component", components), ("singular", singulars)):
+        for node in nodes:
+            gens.extend(node.group.generators)
+            rels.extend(node.group.relations)
+            dictionary.update({g: Origin(kind, node.id) for g in node.group.generators})
+    for e in edges:
+        if e.id in cotree:
+            x = free_edge_generator(e.id)
+            gens.append(x)
+            dictionary[x] = Origin("edge", e.id)
+            conj = gen(x)
+        else:
+            conj = Word()
+        for a, psi_a in e.psi.images:
+            phi_a = e.phi.image(a)
+            rels.append(psi_a.inverse() * conj.inverse() * phi_a * conj)
+    return gens, rels, dictionary
+
+
 def assemble_direct(cfg: Configuration, root: str | None = None) -> AssemblyResult:
     """Spanning-tree assembly.
 
@@ -84,30 +113,8 @@ def assemble_direct(cfg: Configuration, root: str | None = None) -> AssemblyResu
     tree, cotree = spanning_tree(cfg, root)
     if root is None:
         root = min(c.id for c in cfg.components)
-
-    gens: list[GenId] = []
-    rels: list[Word] = []
-    dictionary: dict[GenId, Origin] = {}
-    for c in cfg.components:
-        gens.extend(c.group.generators)
-        rels.extend(c.group.relations)
-        dictionary.update({g: Origin("component", c.id) for g in c.group.generators})
-    for s in cfg.singulars:
-        gens.extend(s.group.generators)
-        rels.extend(s.group.relations)
-        dictionary.update({g: Origin("singular", s.id) for g in s.group.generators})
-    cotree_set = set(cotree)
-    for e in cfg.edges:
-        if e.id in cotree_set:
-            x = free_edge_generator(e.id)
-            gens.append(x)
-            dictionary[x] = Origin("edge", e.id)
-            conj = gen(x)
-        else:
-            conj = Word()
-        for a, psi_a in e.psi.images:
-            phi_a = e.phi.image(a)
-            rels.append(psi_a.inverse() * conj.inverse() * phi_a * conj)
+    gens, rels, dictionary = _assemble(cfg.components, cfg.singulars, cfg.edges,
+                                       set(cotree))
     pres = Presentation(tuple(gens), tuple(rels))
     return AssemblyResult(pres, dictionary, "direct", tree=tree, root=root)
 
@@ -151,12 +158,15 @@ def assemble_recursive(cfg: Configuration) -> AssemblyResult:
     With one singular (or none) this delegates to the direct route.
     Otherwise the blocks are folded in ``block_order`` by the van Kampen
     construction in form (i), as one flat pass: each block is assembled
-    directly and its generators and relators are appended to one growing
-    list, and the presentation is built once at the end.  The interfaces
-    are the groups of the components a block shares with the ones before
-    it (none for the first): in the descent-tuple model the fiber over a
-    shared component carries an action of exactly that group on both
-    sides.  A block's copy of a shared component generator g is renamed
+    over its spanning tree and its generators and relators are appended
+    to one growing list, and the presentation is built once at the end.
+    Block s is a star, read from ``cfg``'s incidence index with no walk:
+    its spanning tree is the first listed edge to each of its components,
+    the tree ``assemble_direct`` walks on ``subconfiguration(cfg, [s])``.
+    The interfaces are the groups of the components a block shares with
+    the ones before it (none for the first): in the descent-tuple model
+    the fiber over a shared component carries an action of exactly that
+    group on both sides.  A block's copy of a shared component generator g is renamed
     g@block, and with conjugators F@block.2..s (v_1 empty) each copy is
     tied to the original by the relator g^-1 v_i^-1 g@block v_i, so the
     result presents the same group with conjugation-identified copies.
@@ -168,16 +178,21 @@ def assemble_recursive(cfg: Configuration) -> AssemblyResult:
     dictionary: dict[GenId, Origin] = {}
     namespaces: set[str] = set()
     covered: set[str] = set()
+    comp_at = cfg._index[0]
     for last in block_order(cfg):
-        block = subconfiguration(cfg, [last])
-        shared = sorted(c.id for c in block.components if c.id in covered)
+        edges = [cfg.edges[i] for i in cfg._incident[("s", last)]]
+        # component id -> id of its first edge here, the block's tree edge
+        first = {e.component: e.id for e in reversed(edges)}
+        shared = sorted(c for c in first if c in covered)
         assert shared or not covered, "each block meets the ones before it"
-        right = assemble_direct(block)
+        right_gens, right_rels, right_dictionary = _assemble(
+            [cfg.components[i] for i in sorted(comp_at[c] for c in first)],
+            [cfg.singular(last)], edges, {e.id for e in edges} - set(first.values()))
         copies = {g: GenId(f"{g.namespace}@{last}", g.index)
                   for cid in shared for g in cfg.component(cid).group.generators}
         conj_ns = f"F@{last}"
         conjugators = [GenId(conj_ns, i) for i in range(2, len(shared) + 1)]
-        block_gens = [copies.get(g, g) for g in right.presentation.generators]
+        block_gens = [copies.get(g, g) for g in right_gens]
         # validate_config reserves "@" and makes namespaces unique, so only
         # unvalidated inputs can collide; the incoming block is checked alone
         spaces = {g.namespace for g in block_gens}
@@ -188,15 +203,15 @@ def assemble_recursive(cfg: Configuration) -> AssemblyResult:
 
         gens += block_gens + conjugators
         rels += (Word(tuple((copies.get(g, g), s) for g, s in w.letters))
-                 for w in right.presentation.relations)
+                 for w in right_rels)
         for cid, v in zip(shared, [Word()] + [gen(x) for x in conjugators]):
             rels += (gen(g, -1) * v.inverse() * gen(copies[g]) * v
                      for g in cfg.component(cid).group.generators)
         dictionary.update((x, Origin("conjugator", cid, detail=last))
                           for x, cid in zip(conjugators, shared[1:]))
-        for g, origin in right.dictionary.items():
+        for g, origin in right_dictionary.items():
             if g in copies:
                 origin = Origin("component", origin.node, detail=f"copy@{last}")
             dictionary[copies.get(g, g)] = origin
-        covered.update(c.id for c in block.components)
+        covered.update(first)
     return AssemblyResult(Presentation(tuple(gens), tuple(rels)), dictionary, "recursive")

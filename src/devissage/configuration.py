@@ -75,9 +75,9 @@ class Configuration:
 
     @cached_property
     def _incident(self) -> dict[tuple[str, str], list[int]]:
-        """``_incidence`` of the edges, kept for ``subconfiguration`` and the
-        block order; a walk builds its own and drops it, so a walked-only
-        configuration keeps none."""
+        """``_incidence`` of the edges, kept for ``subconfiguration``, the
+        block order and the recursive route's star blocks; a walk builds
+        its own and drops it, so a walked-only configuration keeps none."""
         return _incidence(self.edges)
 
     @cached_property

@@ -51,13 +51,15 @@ Fiber = tuple[int, dict[GenId, Perm]]  # (size, generator actions)
 class DescentTuple:
     """Fibers with group actions, glued by bijections along edges.
 
+    Fibers are keyed by node id; the gluings are positional, entry i
+    gluing along ``cfg.edges[i]`` of the configuration the tuple covers.
     The tuples ``enumerate_tuples`` returns share equal permutations,
     fibers and node maps across its list, so their dicts must not be
     mutated."""
 
     component_fibers: dict[str, Fiber]
     singular_fibers: dict[str, Fiber]
-    gluings: dict[str, Perm]  # edge id -> map component fiber -> singular fiber
+    gluings: tuple[Perm, ...]  # per edge, in cfg.edges order: component -> singular fiber
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,12 @@ class TupleIso:
 
 
 _KIND_NAMES = {"c": "component", "s": "singular"}
+
+
+def _count_problem(cfg: Configuration, t: DescentTuple) -> str | None:
+    """The mismatch of ``t``'s gluing count with ``cfg``'s edges, if any."""
+    n, m = len(t.gluings), len(cfg.edges)
+    return f"{n} gluings for {m} edges" if n != m else None
 
 
 def _nodes(cfg: Configuration, t: DescentTuple):
@@ -83,7 +91,10 @@ def _nodes(cfg: Configuration, t: DescentTuple):
 def is_tuple_iso(cfg: Configuration, source: DescentTuple,
                  target: DescentTuple, iso: TupleIso) -> bool:
     """True iff the per-fiber bijections commute with every action and
-    every gluing."""
+    every gluing; False when either tuple's gluings do not match the
+    edges in number."""
+    if _count_problem(cfg, source) or _count_problem(cfg, target):
+        return False
     targets = {"c": target.component_fibers, "s": target.singular_fibers}
     maps = {"c": iso.component_maps, "s": iso.singular_maps}
     for kind, node, fibers in _nodes(cfg, source):
@@ -95,10 +106,10 @@ def is_tuple_iso(cfg: Configuration, source: DescentTuple,
         for g in node.group.generators:
             if compose(alpha, action[g]) != compose(taction[g], alpha):
                 return False
-    for e in cfg.edges:
+    for e, lam, tlam in zip(cfg.edges, source.gluings, target.gluings, strict=True):
         alpha = iso.component_maps[e.component]
         beta = iso.singular_maps[e.singular]
-        if compose(beta, source.gluings[e.id]) != compose(target.gluings[e.id], alpha):
+        if compose(beta, lam) != compose(tlam, alpha):
             return False
     return True
 
@@ -127,17 +138,17 @@ def validate_tuple(cfg: Configuration, t: DescentTuple) -> list[str]:
         problems += _action_violations(f"{_KIND_NAMES[kind]} {node.id}",
                                        node.group, fibers[node.id])
     extra = (set(t.component_fibers) - {c.id for c in cfg.components}) \
-        | (set(t.singular_fibers) - {s.id for s in cfg.singulars}) \
-        | (set(t.gluings) - {e.id for e in cfg.edges})
+        | (set(t.singular_fibers) - {s.id for s in cfg.singulars})
     for name in sorted(extra):
         problems.append(f"unexpected entry {name}")
+    if problem := _count_problem(cfg, t):
+        problems.append(problem)
     if problems:
         return problems
-    for e in cfg.edges:
-        lam = t.gluings.get(e.id)
+    for e, lam in zip(cfg.edges, t.gluings, strict=True):
         csize, caction = t.component_fibers[e.component]
         ssize, saction = t.singular_fibers[e.singular]
-        if lam is None or len(lam) != csize or not is_perm(lam, ssize):
+        if len(lam) != csize or not is_perm(lam, ssize):
             problems.append(f"edge {e.id}: gluing is not a bijection between the fibers")
             continue
         for a in e.group.generators:
@@ -150,7 +161,10 @@ def validate_tuple(cfg: Configuration, t: DescentTuple) -> list[str]:
 
 def tuple_components(cfg: Configuration, t: DescentTuple) -> tuple[frozenset, ...]:
     """Finest partition of the disjoint union of fibers closed under all
-    actions and gluings; the cover is connected iff there is one block."""
+    actions and gluings; the cover is connected iff there is one block.
+    Raises ValueError when the gluings do not match the edges in number."""
+    if problem := _count_problem(cfg, t):
+        raise ValueError(problem)
     points = [(kind, node.id, x) for kind, node, fibers in _nodes(cfg, t)
               for x in range(fibers[node.id][0])]
     index = {pt: i for i, pt in enumerate(points)}
@@ -172,8 +186,7 @@ def tuple_components(cfg: Configuration, t: DescentTuple) -> tuple[frozenset, ..
         for p in action.values():
             for x in range(size):
                 union(index[(kind, node.id, x)], index[(kind, node.id, p[x])])
-    for e in cfg.edges:
-        lam = t.gluings[e.id]
+    for e, lam in zip(cfg.edges, t.gluings, strict=True):
         for x in range(len(lam)):
             union(index[("c", e.component, x)], index[("s", e.singular, lam[x])])
 
@@ -186,7 +199,8 @@ def tuple_components(cfg: Configuration, t: DescentTuple) -> tuple[frozenset, ..
 def _tuple_from_tables(st: _Structure, d: int, img, lam,
                        shared: dict) -> DescentTuple:
     """The tuple of the scan's live tables, each row copied once and
-    replaced by its equal in ``shared`` when there is one.
+    replaced by its equal in ``shared`` when there is one.  The scan's
+    gluing rows come in ``cfg.edges`` order, which is the tuple's.
 
     ``shared`` interns permutations by value, the fiber of every node
     without generators under ``()``, any other fiber by its generators and
@@ -217,8 +231,7 @@ def _tuple_from_tables(st: _Structure, d: int, img, lam,
         maps[kind][name] = fiber
     component_fibers = shared.setdefault(tuple(keys["c"]), maps["c"])
     singular_fibers = shared.setdefault(tuple(keys["s"]), maps["s"])
-    gluings = {eid: share(lam[ei]) for ei, eid in enumerate(st.edge_ids)}
-    return DescentTuple(component_fibers, singular_fibers, gluings)
+    return DescentTuple(component_fibers, singular_fibers, tuple(map(share, lam)))
 
 
 def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
@@ -240,7 +253,8 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
     distinct ones, against one per generator and edge in every tuple),
     every fiber, and every ``component_fibers`` and ``singular_fibers``
     map.  Tuples whose node actions are equal differ only in their
-    ``gluings``.  Callers must not mutate a returned tuple's dicts.
+    ``gluings`` tuple, the one object each tuple holds alone.  Callers
+    must not mutate a returned tuple's dicts.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -258,9 +272,8 @@ def _transports(cfg: Configuration, result: AssemblyResult,
     discovered from already has its transport when the edge is reached.
     """
     tau: dict[tuple[str, str], Perm] = {("c", result.root): identity_perm(degree)}
-    for eid in result.tree:
-        e = cfg.edge(eid)
-        lam = t.gluings[eid]
+    for i in (cfg._index[2][eid] for eid in result.tree):
+        e, lam = cfg.edges[i], t.gluings[i]
         if ("c", e.component) in tau:
             tau[("s", e.singular)] = compose(lam, tau[("c", e.component)])
         else:
@@ -275,12 +288,15 @@ def rep_of_tuple(cfg: Configuration, result: AssemblyResult,
     ``result`` must be tree-based, that is, come from ``assemble_direct``.
     Node generators act through tree-edge transport; the free generator of
     a cotree edge acts by the gluing composite around its fundamental cycle.
-    Relators are verified to act trivially; a violation means the assembly
-    and the census disagree on conventions, which is a bug, so it raises
-    RuntimeError rather than returning a report.
+    A tuple that ``validate_tuple`` rejects raises ValueError with its
+    first problem.  Relators are verified to act trivially; a violation
+    means the assembly and the census disagree on conventions, which is a
+    bug, so it raises RuntimeError rather than returning a report.
     """
     if result.tree is None or result.root is None:
         raise ValueError("transports need a tree-based assembly result")
+    if problems := validate_tuple(cfg, t):
+        raise ValueError(problems[0])
     degree = t.component_fibers[result.root][0]
     tau = _transports(cfg, result, t, degree)
 
@@ -292,12 +308,12 @@ def rep_of_tuple(cfg: Configuration, result: AssemblyResult,
         for g in node.group.generators:
             images[g] = compose(tr_inv, compose(action[g], tr))
     tree = set(result.tree)
-    for e in cfg.edges:
+    for e, lam in zip(cfg.edges, t.gluings, strict=True):
         if e.id in tree:
             continue
         x = free_edge_generator(e.id)
         images[x] = compose(inverse_perm(tau[("s", e.singular)]),
-                            compose(t.gluings[e.id], tau[("c", e.component)]))
+                            compose(lam, tau[("c", e.component)]))
 
     pres = result.presentation
     ident = identity_perm(degree)
@@ -332,9 +348,8 @@ def tuple_of_rep(cfg: Configuration, result: AssemblyResult,
         s.id: (degree, {g: images[g] for g in s.group.generators})
         for s in cfg.singulars}
     tree = set(result.tree)
-    gluings = {e.id: (ident if e.id in tree
-                      else images[free_edge_generator(e.id)])
-               for e in cfg.edges}
+    gluings = tuple(ident if e.id in tree else images[free_edge_generator(e.id)]
+                    for e in cfg.edges)
     return DescentTuple(component_fibers, singular_fibers, gluings)
 
 
@@ -360,6 +375,8 @@ def equivalence_report(cfg: Configuration, result: AssemblyResult,
     census index serves every degree, whose count is the number of tables
     its scan yields, none of them copied."""
     st = _Structure(cfg)
+    if max_degree < 1:
+        raise ValueError("max_degree must be at least 1")
     rows = tuple(EquivalenceRow(d, sum(1 for _ in _scan(st, d)),
                                 count_transitive_actions(result.presentation, d))
                  for d in range(1, max_degree + 1))

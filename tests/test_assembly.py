@@ -369,13 +369,15 @@ def test_recursive_assembly_splits_once_and_assembles_each_block_once(name, monk
             return fn(*args, **kwargs)
         return wrapper
 
-    for fn in (assembly.block_order, assembly.subconfiguration, assembly.assemble_direct):
+    for fn in (assembly.block_order, assembly.assemble_direct, assembly._assemble):
         monkeypatch.setattr(assembly, fn.__name__, counted(fn))
     cfg = WORK_CONFIGS[name]
     assemble_recursive(cfg)
     blocks = len(cfg.singulars)
-    assert calls == ({"block_order": 1, "subconfiguration": blocks,
-                      "assemble_direct": blocks} if blocks > 1 else {"assemble_direct": 1})
+    # blocks are read from the index, so the direct route runs only when
+    # there is no block to split
+    assert calls == ({"block_order": 1, "_assemble": blocks} if blocks > 1
+                     else {"assemble_direct": 1, "_assemble": 1})
 
 
 @pytest.mark.parametrize("node,namespace", [

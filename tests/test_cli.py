@@ -155,6 +155,13 @@ def test_verification_table_present_iff_verify():
     assert "verification" in with_table and "verification" not in without
 
 
+def test_run_rejects_verification_below_degree_one():
+    # main rejects --max-degree 0 itself; the library call must not pass
+    # a verification with no rows
+    with pytest.raises(ValueError, match="^max_degree must be at least 1$"):
+        run(nodal_cubic(), verify=True, max_degree=0)
+
+
 def test_run_reports_both_methods_when_two_singulars():
     report, passed = run(line_cycle(2), verify=True, max_degree=3)
     assert passed

@@ -39,7 +39,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def nodal_tuple(e1, e2) -> DescentTuple:
-    return DescentTuple({"X1": (2, {})}, {"Z1": (2, {})}, {"e1": e1, "e2": e2})
+    return DescentTuple({"X1": (2, {})}, {"Z1": (2, {})}, (e1, e2))
 
 
 # --- validate_tuple ----------------------------------------------------------
@@ -51,19 +51,19 @@ def test_trivial_groups_impose_nothing():
 def test_relator_violation_reported():
     t = DescentTuple({"X1": (3, {GenId("X1", 0): (1, 2, 0)})},
                      {"Z1": (3, {})},
-                     {"e1": (0, 1, 2), "e2": (0, 1, 2)})
+                     ((0, 1, 2), (0, 1, 2)))
     problems = validate_tuple(z2_nodal(), t)
     assert any("relator" in p for p in problems)
 
 
 def test_trivial_cover_validates():
     t = DescentTuple({"X1": (1, {GenId("X1", 0): (0,)})}, {"Z1": (1, {})},
-                     {"e1": (0,), "e2": (0,)})
+                     ((0,), (0,)))
     assert validate_tuple(z2_nodal(), t) == []
 
 
 def test_empty_cover_validates_with_zero_components():
-    t = DescentTuple({"X1": (0, {})}, {"Z1": (0, {})}, {"e1": (), "e2": ()})
+    t = DescentTuple({"X1": (0, {})}, {"Z1": (0, {})}, ((), ()))
     assert validate_tuple(nodal_cubic(), t) == []
     assert tuple_components(nodal_cubic(), t) == ()
 
@@ -71,13 +71,13 @@ def test_empty_cover_validates_with_zero_components():
 def test_non_equivariant_gluing_reported():
     t = DescentTuple({"X1": (2, {GenId("X1", 0): SWAP})},
                      {"Z1": (2, {GenId("Z1", 0): ID2})},
-                     {"e1": ID2, "e2": ID2})
+                     (ID2, ID2))
     problems = validate_tuple(equivariant_z2(), t)
     assert any("equivariant" in p for p in problems)
 
 
 def test_size_mismatch_reported():
-    t = DescentTuple({"X1": (2, {})}, {"Z1": (1, {})}, {"e1": (0, 0), "e2": (0, 0)})
+    t = DescentTuple({"X1": (2, {})}, {"Z1": (1, {})}, ((0, 0), (0, 0)))
     problems = validate_tuple(nodal_cubic(), t)
     assert any("bijection" in p for p in problems)
 
@@ -88,23 +88,23 @@ def test_size_mismatch_reported():
     ({}, {}, ["missing component fiber X1", "missing singular fiber Z1"]),
 ])
 def test_missing_fibers_reported_by_kind(components, singulars, expected):
-    t = DescentTuple(components, singulars, {"e1": ID2, "e2": SWAP})
+    t = DescentTuple(components, singulars, (ID2, SWAP))
     assert validate_tuple(nodal_cubic(), t) == expected
 
 
 def test_unexpected_entries_reported_in_sorted_order():
     t = DescentTuple({"X1": (2, {}), "X9": (2, {})},
                      {"Z1": (2, {}), "Z9": (2, {})},
-                     {"e1": ID2, "e2": SWAP, "e9": ID2})
+                     (ID2, SWAP, ID2))
     assert validate_tuple(nodal_cubic(), t) == [
-        "unexpected entry X9", "unexpected entry Z9", "unexpected entry e9"]
+        "unexpected entry X9", "unexpected entry Z9", "3 gluings for 2 edges"]
 
 
 @pytest.mark.parametrize("action", [{}, {GenId("Z1", 0): (0, 0)},
                                     {GenId("Z1", 0): (0, 1, 2)}])
 def test_non_permutation_on_singular_reported(action):
     t = DescentTuple({"X1": (2, {GenId("X1", 0): SWAP})}, {"Z1": (2, action)},
-                     {"e1": ID2, "e2": ID2})
+                     (ID2, ID2))
     assert validate_tuple(equivariant_z2(), t) == [
         "singular Z1: image of Z1.0 is not a permutation of the fiber"]
 
@@ -112,9 +112,28 @@ def test_non_permutation_on_singular_reported(action):
 def test_singular_relator_violation_reported():
     t = DescentTuple({"X1": (3, {GenId("X1", 0): (0, 1, 2)})},
                      {"Z1": (3, {GenId("Z1", 0): (1, 2, 0)})},
-                     {"e1": (0, 1, 2), "e2": (0, 1, 2)})
+                     ((0, 1, 2), (0, 1, 2)))
     assert validate_tuple(equivariant_z2(), t) == [
         "singular Z1: relator #0 does not act trivially"]
+
+
+@pytest.mark.parametrize("gluings,expected", [
+    ((ID2,), "1 gluings for 2 edges"),
+    ((ID2, SWAP, ID2), "3 gluings for 2 edges"),
+])
+def test_wrong_gluing_count_is_rejected_by_every_reader(gluings, expected):
+    cfg = nodal_cubic()
+    t = nodal_tuple(ID2, SWAP)
+    wrong = DescentTuple(t.component_fibers, t.singular_fibers, gluings)
+    assert validate_tuple(cfg, wrong) == [expected]
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        tuple_components(cfg, wrong)
+    iso = TupleIso({"X1": ID2}, {"Z1": ID2})
+    assert not is_tuple_iso(cfg, wrong, wrong, iso)
+    assert not is_tuple_iso(cfg, t, wrong, iso)
+    assert not is_tuple_iso(cfg, wrong, t, iso)
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        rep_of_tuple(cfg, assemble_direct(cfg), wrong)
 
 
 # --- connected components ----------------------------------------------------
@@ -184,7 +203,7 @@ def test_census_members_are_valid_connected_and_distinct():
                 assert len(tuple_components(cfg, t)) == 1
                 key = (tuple(sorted((k, v[0], tuple(sorted((str(g), p) for g, p in v[1].items())))
                                     for k, v in t.component_fibers.items())),
-                       tuple(sorted(t.gluings.items())))
+                       t.gluings)
                 assert key not in seen
                 seen.add(key)
             # pairwise non-isomorphic: no choice of fiber bijections works
@@ -393,7 +412,7 @@ def test_enumerate_tuples_lists_the_scan_tables_in_scan_order(name):
             img = [[(t.component_fibers if kind == "c" else t.singular_fibers)[node][1][g]
                     for g in st.gen_ids[f]]
                    for f, (kind, node) in enumerate(st.fiber_names)]
-            listed.append(_frozen(img, [t.gluings[eid] for eid in st.edge_ids]))
+            listed.append(_frozen(img, t.gluings))
         assert listed == [_frozen(img, lam) for img, lam, _ in _scan(st, d)], d
 
 
@@ -404,7 +423,7 @@ def test_enumerate_tuples_shares_equal_rows():
     rows = [p for t in tuples
             for fibers in (t.component_fibers, t.singular_fibers)
             for _, action in fibers.values() for p in action.values()]
-    rows += [p for t in tuples for p in t.gluings.values()]
+    rows += [p for t in tuples for p in t.gluings]
     distinct = {}
     for p in rows:
         assert distinct.setdefault(p, p) is p
@@ -445,14 +464,16 @@ def test_enumerate_tuples_shares_equal_fibers_and_node_maps(cfg, d):
         fresh = DescentTuple(
             {c: (n, dict(action)) for c, (n, action) in t.component_fibers.items()},
             {s: (n, dict(action)) for s, (n, action) in t.singular_fibers.items()},
-            dict(t.gluings))
+            t.gluings)
         assert fresh == t
 
 
-def test_enumerate_tuples_holds_under_500_bytes_per_tuple():
+def test_enumerate_tuples_holds_under_200_bytes_per_tuple():
     # Without sharing, every tuple held its own fibers and node maps:
-    # 1 077-1 270 B per tuple here on Python 3.10-3.13, against 215-256 B
-    # with sharing.  d4 rather than d5 keeps the traced scan fast.
+    # 1 077-1 270 B per tuple here on Python 3.10-3.13.  Sharing them cut
+    # that to 215-256 B, most of it a dict of gluings per tuple; with the
+    # gluings a tuple in edge order it is 147 B on Python 3.11.  d4 rather
+    # than d5 keeps the traced scan fast.
     import tracemalloc
     cfg = full_corpus()["z2_double_bouquet"]
     enumerate_tuples(cfg, 1)  # the configuration's cached walk
@@ -464,7 +485,7 @@ def test_enumerate_tuples_holds_under_500_bytes_per_tuple():
     finally:
         tracemalloc.stop()
     assert len(tuples) == 256
-    assert held / len(tuples) <= 500
+    assert held / len(tuples) <= 200
 
 
 def test_relabelled_copies_move_the_root():
@@ -527,12 +548,21 @@ def test_disconnected_identity_tuple_gives_identity_action():
     assert rep.image(res.presentation.generators[0]) == ID2
 
 
+def test_rep_of_tuple_rejects_a_fiber_of_the_wrong_size():
+    # the root fiber alone would read as degree 2; the singular fiber has 3 points
+    cfg = nodal_cubic()
+    t = DescentTuple({"X1": (2, {})}, {"Z1": (3, {})}, (ID2, SWAP))
+    with pytest.raises(ValueError,
+                       match="^edge e1: gluing is not a bijection between the fibers$"):
+        rep_of_tuple(cfg, assemble_direct(cfg), t)
+
+
 def test_rep_tuple_roundtrip_at_degree_seven_is_quick():
     symmetric.cache_clear()
     cfg = nodal_cubic()
     res = assemble_direct(cfg)
     ident, cycle = tuple(range(7)), (*range(1, 7), 0)
-    t = DescentTuple({"X1": (7, {})}, {"Z1": (7, {})}, {"e1": ident, "e2": cycle})
+    t = DescentTuple({"X1": (7, {})}, {"Z1": (7, {})}, (ident, cycle))
     start = time.perf_counter()
     rep = rep_of_tuple(cfg, res, t)
     assert tuple_of_rep(cfg, res, rep) == t
@@ -588,7 +618,7 @@ def test_is_tuple_iso_rejects_non_commuting_maps():
 def _z2_tuple(z_action) -> DescentTuple:
     return DescentTuple({"X1": (3, {GenId("X1", 0): (1, 0, 2)})},
                         {"Z1": (3, {GenId("Z1", 0): z_action})},
-                        {"e1": (0, 1, 2), "e2": (0, 1, 2)})
+                        ((0, 1, 2), (0, 1, 2)))
 
 
 @pytest.mark.parametrize("x_map,z_map,expected", [
@@ -722,6 +752,13 @@ def test_equivalence_report_checks_connectivity_and_indexes_once(monkeypatch):
     rep = equivalence_report(cfg, res, 5)
     assert rep.passed and len(rep.rows) == 5
     assert calls == {"index": 1, "search": 1}
+
+
+@pytest.mark.parametrize("max_degree", [0, -3])
+def test_equivalence_report_rejects_degrees_below_one(max_degree):
+    cfg = nodal_cubic()
+    with pytest.raises(ValueError, match="^max_degree must be at least 1$"):
+        equivalence_report(cfg, assemble_direct(cfg), max_degree)
 
 
 def test_census_of_disconnected_configuration_raises():
