@@ -15,6 +15,10 @@ k acts on the root fiber by (transport singular(k) -> root) o lam_k o
 (transport root -> component(k)), where transports are composites of tree
 gluings along the unique tree paths and the component-to-singular direction
 of lam_k is positive.
+
+Every tuple reader starts from one shape check, ``_shape_problems``:
+``validate_tuple`` lists the problems, ``tuple_components`` and
+``rep_of_tuple`` raise ValueError with the first, ``is_tuple_iso`` is False.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from dataclasses import dataclass
 from .assembly import AssemblyResult, free_edge_generator
 from .census import _scan, _Structure
 from .configuration import Configuration
-from .homs import Hom, count_transitive_actions, eval_word, hom
-from .perms import (Perm, compose, identity_perm, inverse_perm, is_perm,
-                    symmetric)
-from .presentations import Presentation
+from .homs import (Hom, _failing_relators, count_transitive_actions,
+                   eval_word, hom)
+from .perms import (Perm, PermGroupTarget, compose, identity_perm,
+                    inverse_perm, is_perm, symmetric)
 from .words import GenId
 
 __all__ = [
@@ -73,12 +77,6 @@ class TupleIso:
 _KIND_NAMES = {"c": "component", "s": "singular"}
 
 
-def _count_problem(cfg: Configuration, t: DescentTuple) -> str | None:
-    """The mismatch of ``t``'s gluing count with ``cfg``'s edges, if any."""
-    n, m = len(t.gluings), len(cfg.edges)
-    return f"{n} gluings for {m} edges" if n != m else None
-
-
 def _nodes(cfg: Configuration, t: DescentTuple):
     """``(kind, node, t's fibers of that kind)`` for every component, then
     every singular; kind is "c" or "s", the keys ``_transports`` uses."""
@@ -88,12 +86,43 @@ def _nodes(cfg: Configuration, t: DescentTuple):
         yield "s", s, t.singular_fibers
 
 
+def _shape_problems(cfg: Configuration, t: DescentTuple) -> list[str]:
+    """Why ``t`` cannot be read over ``cfg``: per node, a missing fiber or
+    its first generator image that is not a permutation; fibers of no node;
+    a wrong gluing count; then, if all is clean, each gluing that is not a
+    bijection between its fibers."""
+    problems: list[str] = []
+    for kind, node, fibers in _nodes(cfg, t):
+        if node.id not in fibers:
+            problems.append(f"missing {_KIND_NAMES[kind]} fiber {node.id}")
+            continue
+        size, action = fibers[node.id]
+        for g in node.group.generators:
+            p = action.get(g)
+            if p is None or not is_perm(p, size):
+                problems.append(f"{_KIND_NAMES[kind]} {node.id}: image of {g} "
+                                "is not a permutation of the fiber")
+                break
+    extra = (set(t.component_fibers) - {c.id for c in cfg.components}) \
+        | (set(t.singular_fibers) - {s.id for s in cfg.singulars})
+    for name in sorted(extra):
+        problems.append(f"unexpected entry {name}")
+    if len(t.gluings) != len(cfg.edges):
+        problems.append(f"{len(t.gluings)} gluings for {len(cfg.edges)} edges")
+    if problems:
+        return problems
+    for e, lam in zip(cfg.edges, t.gluings, strict=True):
+        if len(lam) != t.component_fibers[e.component][0] \
+                or not is_perm(lam, t.singular_fibers[e.singular][0]):
+            problems.append(f"edge {e.id}: gluing is not a bijection between the fibers")
+    return problems
+
+
 def is_tuple_iso(cfg: Configuration, source: DescentTuple,
                  target: DescentTuple, iso: TupleIso) -> bool:
     """True iff the per-fiber bijections commute with every action and
-    every gluing; False when either tuple's gluings do not match the
-    edges in number."""
-    if _count_problem(cfg, source) or _count_problem(cfg, target):
+    every gluing; False when either tuple has a shape problem."""
+    if _shape_problems(cfg, source) or _shape_problems(cfg, target):
         return False
     targets = {"c": target.component_fibers, "s": target.singular_fibers}
     maps = {"c": iso.component_maps, "s": iso.singular_maps}
@@ -114,43 +143,21 @@ def is_tuple_iso(cfg: Configuration, source: DescentTuple,
     return True
 
 
-def _action_violations(label: str, group: Presentation, fiber: Fiber) -> list[str]:
-    size, action = fiber
-    problems = []
-    for g in group.generators:
-        p = action.get(g)
-        if p is None or not is_perm(p, size):
-            problems.append(f"{label}: image of {g} is not a permutation of the fiber")
-            return problems
-    for i, rel in enumerate(group.relations):
-        if eval_word(rel, action, size) != identity_perm(size):
-            problems.append(f"{label}: relator #{i} does not act trivially")
-    return problems
-
-
 def validate_tuple(cfg: Configuration, t: DescentTuple) -> list[str]:
-    """Relator satisfaction of every action, edge equivariance of every gluing."""
-    problems: list[str] = []
+    """Every problem of the first kind ``t`` has: shape problems, else
+    relators that do not act trivially, else gluings that are not
+    equivariant; empty when ``t`` is a descent tuple over ``cfg``."""
+    if problems := _shape_problems(cfg, t):
+        return problems
     for kind, node, fibers in _nodes(cfg, t):
-        if node.id not in fibers:
-            problems.append(f"missing {_KIND_NAMES[kind]} fiber {node.id}")
-            continue
-        problems += _action_violations(f"{_KIND_NAMES[kind]} {node.id}",
-                                       node.group, fibers[node.id])
-    extra = (set(t.component_fibers) - {c.id for c in cfg.components}) \
-        | (set(t.singular_fibers) - {s.id for s in cfg.singulars})
-    for name in sorted(extra):
-        problems.append(f"unexpected entry {name}")
-    if problem := _count_problem(cfg, t):
-        problems.append(problem)
+        size, action = fibers[node.id]
+        problems += [f"{_KIND_NAMES[kind]} {node.id}: relator #{i} does not act trivially"
+                     for i in _failing_relators(node.group.relations, action, size)]
     if problems:
         return problems
     for e, lam in zip(cfg.edges, t.gluings, strict=True):
         csize, caction = t.component_fibers[e.component]
         ssize, saction = t.singular_fibers[e.singular]
-        if len(lam) != csize or not is_perm(lam, ssize):
-            problems.append(f"edge {e.id}: gluing is not a bijection between the fibers")
-            continue
         for a in e.group.generators:
             psi_perm = eval_word(e.psi.image(a), caction, csize)
             phi_perm = eval_word(e.phi.image(a), saction, ssize)
@@ -162,9 +169,9 @@ def validate_tuple(cfg: Configuration, t: DescentTuple) -> list[str]:
 def tuple_components(cfg: Configuration, t: DescentTuple) -> tuple[frozenset, ...]:
     """Finest partition of the disjoint union of fibers closed under all
     actions and gluings; the cover is connected iff there is one block.
-    Raises ValueError when the gluings do not match the edges in number."""
-    if problem := _count_problem(cfg, t):
-        raise ValueError(problem)
+    Raises ValueError with the first shape problem of ``t``, if any."""
+    if problems := _shape_problems(cfg, t):
+        raise ValueError(problems[0])
     points = [(kind, node.id, x) for kind, node, fibers in _nodes(cfg, t)
               for x in range(fibers[node.id][0])]
     index = {pt: i for i, pt in enumerate(points)}
@@ -183,7 +190,7 @@ def tuple_components(cfg: Configuration, t: DescentTuple) -> tuple[frozenset, ..
 
     for kind, node, fibers in _nodes(cfg, t):
         size, action = fibers[node.id]
-        for p in action.values():
+        for p in (action[g] for g in node.group.generators):
             for x in range(size):
                 union(index[(kind, node.id, x)], index[(kind, node.id, p[x])])
     for e, lam in zip(cfg.edges, t.gluings, strict=True):
@@ -316,11 +323,9 @@ def rep_of_tuple(cfg: Configuration, result: AssemblyResult,
                             compose(lam, tau[("c", e.component)]))
 
     pres = result.presentation
-    ident = identity_perm(degree)
-    for rel in pres.relations:
-        if eval_word(rel, images, degree) != ident:
-            raise RuntimeError(f"relator {rel} does not act trivially; "
-                               "tuple/assembly dictionary is inconsistent")
+    for i in _failing_relators(pres.relations, images, degree):
+        raise RuntimeError(f"relator {pres.relations[i]} does not act trivially; "
+                           "tuple/assembly dictionary is inconsistent")
     return hom(pres, symmetric(degree), images)
 
 
@@ -329,17 +334,18 @@ def tuple_of_rep(cfg: Configuration, result: AssemblyResult,
     """Inverse of ``rep_of_tuple`` up to isomorphism, for a tree-based
     (``assemble_direct``) result: every fiber is a copy of the
     representation space, tree gluings are identities, and each cotree
-    gluing realizes its free generator's image."""
+    gluing realizes its free generator's image.  Anything but a permutation
+    action of the assembled presentation raises ValueError."""
     if result.tree is None:
         raise ValueError("need a tree-based assembly result")
     if rep.source != result.presentation:
         raise ValueError("representation is not of the assembled presentation")
+    if not isinstance(rep.target, PermGroupTarget):
+        raise ValueError("representation is not into a permutation group")
     degree = rep.target.degree
     images = rep.images_dict()
-    ident = identity_perm(degree)
-    for rel in result.presentation.relations:
-        if eval_word(rel, images, degree) != ident:
-            raise ValueError(f"representation violates relator {rel}")
+    for i in _failing_relators(result.presentation.relations, images, degree):
+        raise ValueError(f"representation violates relator {result.presentation.relations[i]}")
 
     component_fibers = {
         c.id: (degree, {g: images[g] for g in c.group.generators})
@@ -348,6 +354,7 @@ def tuple_of_rep(cfg: Configuration, result: AssemblyResult,
         s.id: (degree, {g: images[g] for g in s.group.generators})
         for s in cfg.singulars}
     tree = set(result.tree)
+    ident = identity_perm(degree)
     gluings = tuple(ident if e.id in tree else images[free_edge_generator(e.id)]
                     for e in cfg.edges)
     return DescentTuple(component_fibers, singular_fibers, gluings)

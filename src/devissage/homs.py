@@ -16,7 +16,7 @@ from math import gcd
 from typing import Iterator, Mapping, Sequence, Union
 
 from .perms import (Perm, PermGroupTarget, compose, identity_perm,
-                    inverse_perm)
+                    inverse_perm, is_perm)
 from .presentations import Presentation
 from .words import GenId, Word
 
@@ -72,7 +72,7 @@ def hom(source: Presentation,
             raise ValueError(f"missing image for {g}")
         img = images[g]
         if isinstance(target, PermGroupTarget):
-            if not (isinstance(img, tuple) and len(img) == target.degree):
+            if not (isinstance(img, tuple) and is_perm(img, target.degree)):
                 raise ValueError(f"image of {g} is not a degree-{target.degree} permutation")
         else:
             if not isinstance(img, Word):
@@ -88,12 +88,25 @@ def hom(source: Presentation,
 
 
 def eval_word(w: Word, images: Mapping[GenId, Perm], degree: int) -> Perm:
-    """Evaluate a word in a permutation action (rightmost letter first)."""
+    """Evaluate a word in a permutation action (rightmost letter first).
+
+    Raises ValueError when a letter's generator has no image that is a
+    permutation of degree ``degree``."""
     out = identity_perm(degree)
     for g, s in reversed(w.letters):
-        p = images[g] if s > 0 else inverse_perm(images[g])
-        out = compose(p, out)
+        p = images.get(g)
+        if p is None or not is_perm(p, degree):
+            raise ValueError(f"no degree-{degree} permutation image for generator {g}")
+        out = compose(p if s > 0 else inverse_perm(p), out)
     return out
+
+
+def _failing_relators(relations: Sequence[Word], images: Mapping[GenId, Perm],
+                      degree: int) -> Iterator[int]:
+    """The positions of the relators that do not act trivially under
+    ``images``, in order; each relator is evaluated only when asked for."""
+    ident = identity_perm(degree)
+    return (i for i, rel in enumerate(relations) if eval_word(rel, images, degree) != ident)
 
 
 def verify_hom(h: Hom) -> bool:
@@ -108,8 +121,7 @@ def verify_hom(h: Hom) -> bool:
     universe = set(h.target.elements)
     if any(img not in universe for img in images.values()):
         return False
-    ident = identity_perm(d)
-    return all(eval_word(r, images, d) == ident for r in h.source.relations)
+    return next(_failing_relators(h.source.relations, images, d), None) is None
 
 
 def pullback(h: Hom, via: Hom) -> Hom:

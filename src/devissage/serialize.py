@@ -37,7 +37,7 @@ from .assembly import AssemblyResult
 from .configuration import (ComponentNode, Configuration, Edge, SingularNode)
 from .covers import EquivalenceReport
 from .discreteness import DiscretenessVerdict
-from .homs import Fingerprint, Hom, eval_word, hom
+from .homs import Fingerprint, Hom, _failing_relators, eval_word, hom
 from .perms import Perm, _cayley_walk, identity_perm
 from .presentations import Presentation, trivial_presentation
 from .words import IDENTITY, GenId, Letter, Word, gen
@@ -230,11 +230,10 @@ def _parse_hom(spec: Any, source: _Group, target: _Group, where: str,
         degree, perms = target.action
         listed = dict(zip(target.presentation.generators, perms))
         acts = {g: eval_word(w, listed, degree) for g, w in images.items()}
-        for j, rel in enumerate(group.relations):
-            if eval_word(rel, acts, degree) != identity_perm(degree):
-                raise ConfigSemanticError(f"{where}: edge relator #{j} does not map "
-                                          "to the identity, so the map is not a "
-                                          "homomorphism")
+        for j in _failing_relators(group.relations, acts, degree):
+            raise ConfigSemanticError(f"{where}: edge relator #{j} does not map "
+                                      "to the identity, so the map is not a "
+                                      "homomorphism")
     return hom(group, target.presentation, images)
 
 

@@ -23,7 +23,7 @@ from devissage import (ComponentNode, Configuration, DescentTuple,
                        DisconnectedError, GenId, TupleIso, Word,
                        assemble_direct, assemble_recursive, census,
                        count_transitive_actions, covers, enumerate_homs,
-                       enumerate_tuples, equivalence_report, hom, hom_count,
+                       enumerate_tuples, equivalence_report, gen, hom, hom_count,
                        is_transitive, is_tuple_iso, parse_config, parse_config_text,
                        rep_of_tuple, symmetric, trivial_presentation,
                        tuple_components, tuple_of_rep, validate_tuple,
@@ -117,23 +117,50 @@ def test_singular_relator_violation_reported():
         "singular Z1: relator #0 does not act trivially"]
 
 
-@pytest.mark.parametrize("gluings,expected", [
-    ((ID2,), "1 gluings for 2 edges"),
-    ((ID2, SWAP, ID2), "3 gluings for 2 edges"),
+NODAL = nodal_tuple(ID2, SWAP)
+Z2_SWAP = DescentTuple({"X1": (2, {GenId("X1", 0): SWAP})}, {"Z1": (2, {})}, (ID2, SWAP))
+ID_ISO = TupleIso({"X1": ID2}, {"Z1": ID2})
+
+
+@pytest.mark.parametrize("cfg,valid,wrong,expected", [
+    pytest.param(nodal_cubic(), NODAL, replace(NODAL, gluings=(ID2,)),
+                 "1 gluings for 2 edges", id="gluings0-1 gluings for 2 edges"),
+    pytest.param(nodal_cubic(), NODAL, replace(NODAL, gluings=(ID2, SWAP, ID2)),
+                 "3 gluings for 2 edges", id="gluings1-3 gluings for 2 edges"),
+    pytest.param(nodal_cubic(), NODAL, replace(NODAL, component_fibers={}),
+                 "missing component fiber X1", id="missing-fiber"),
+    pytest.param(nodal_cubic(), NODAL, replace(NODAL, gluings=((0, 1, 2), SWAP)),
+                 "edge e1: gluing is not a bijection between the fibers", id="long-gluing"),
+    pytest.param(nodal_cubic(), NODAL, replace(NODAL, gluings=(ID2, (1,))),
+                 "edge e2: gluing is not a bijection between the fibers", id="short-gluing"),
+    pytest.param(z2_nodal(), Z2_SWAP,
+                 replace(Z2_SWAP, component_fibers={"X1": (2, {GenId("X1", 0): (0, 1, 2)})}),
+                 "component X1: image of X1.0 is not a permutation of the fiber",
+                 id="non-permutation-image"),
 ])
-def test_wrong_gluing_count_is_rejected_by_every_reader(gluings, expected):
-    cfg = nodal_cubic()
-    t = nodal_tuple(ID2, SWAP)
-    wrong = DescentTuple(t.component_fibers, t.singular_fibers, gluings)
+def test_wrong_gluing_count_is_rejected_by_every_reader(cfg, valid, wrong, expected):
+    """Every reader gives a malformed tuple one answer, its first problem:
+    the gluing count, and each other shape problem alike."""
+    assert validate_tuple(cfg, valid) == []
     assert validate_tuple(cfg, wrong) == [expected]
     with pytest.raises(ValueError, match=f"^{expected}$"):
         tuple_components(cfg, wrong)
-    iso = TupleIso({"X1": ID2}, {"Z1": ID2})
-    assert not is_tuple_iso(cfg, wrong, wrong, iso)
-    assert not is_tuple_iso(cfg, t, wrong, iso)
-    assert not is_tuple_iso(cfg, wrong, t, iso)
+    assert not is_tuple_iso(cfg, wrong, wrong, ID_ISO)
+    assert not is_tuple_iso(cfg, valid, wrong, ID_ISO)
+    assert not is_tuple_iso(cfg, wrong, valid, ID_ISO)
     with pytest.raises(ValueError, match=f"^{expected}$"):
         rep_of_tuple(cfg, assemble_direct(cfg), wrong)
+
+
+def test_entries_beyond_a_nodes_generators_are_read_by_no_reader():
+    cfg = nodal_cubic()
+    extra = replace(NODAL, component_fibers={"X1": (2, {GenId("Q", 0): (5, 5)})})
+    res = assemble_direct(cfg)
+    assert validate_tuple(cfg, extra) == []
+    assert len(tuple_components(cfg, extra)) == 1
+    assert is_tuple_iso(cfg, extra, NODAL, ID_ISO)
+    assert is_tuple_iso(cfg, NODAL, extra, ID_ISO)
+    assert rep_of_tuple(cfg, res, extra) == rep_of_tuple(cfg, res, NODAL)
 
 
 # --- connected components ----------------------------------------------------
@@ -697,6 +724,16 @@ def test_tuple_of_rep_rejects_a_representation_of_another_presentation():
     with pytest.raises(ValueError,
                        match="^representation is not of the assembled presentation$"):
         tuple_of_rep(cfg, res, rep)
+
+
+def test_tuple_of_rep_rejects_a_word_valued_hom():
+    cfg = nodal_cubic()
+    res = assemble_direct(cfg)
+    p = res.presentation
+    words = hom(p, p, {g: gen(g) for g in p.generators})
+    with pytest.raises(ValueError,
+                       match="^representation is not into a permutation group$"):
+        tuple_of_rep(cfg, res, words)
 
 
 def test_tuple_of_rep_rejects_relator_violation():

@@ -13,9 +13,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from devissage import (GenId, Presentation, Word, assemble_direct,
+from devissage import (GenId, Hom, Presentation, Word, assemble_direct,
                        assemble_recursive, count_transitive_actions, cyclic, cyclic_presentation,
-                       enumerate_homs, fingerprint, free_presentation,
+                       enumerate_homs, eval_word, fingerprint, free_presentation,
                        free_product, gen, hom, hom_count, pullback, symmetric,
                        verify_hom, word)
 from devissage.corpus import bouquet, full_corpus
@@ -128,6 +128,8 @@ HOM_CHECKS = {
     "missing-image": (lambda: hom(Z2, symmetric(2), {}), "missing image for a.0"),
     "wrong-degree": (lambda: hom(Z2, symmetric(3), {A: (1, 0)}),
                      "image of a.0 is not a degree-3 permutation"),
+    "not-a-permutation": (lambda: hom(Z2, symmetric(2), {A: (5, 5)}),
+                          "image of a.0 is not a degree-2 permutation"),
     "not-a-word": (lambda: hom(Z2, Z2, {A: "a"}), "image of a.0 must be a word"),
     "unknown-generator": (lambda: hom(Z2, Z2, {A: gen(GenId("b", 0))}),
                           "image of a.0 uses unknown generators ['b.0']"),
@@ -139,6 +141,14 @@ HOM_CHECKS = {
                              "pullback target must be a permutation group"),
     "pullback-misaligned": (lambda: pullback(hom(Z3, symmetric(3), {A: (1, 2, 0)}), ID_Z2),
                             "hom sources do not line up"),
+    "eval-missing-image": (lambda: eval_word(gen(A), {}, 2),
+                           "no degree-2 permutation image for generator a.0"),
+    "eval-non-permutation": (lambda: eval_word(gen(A), {A: (1, 1)}, 2),
+                             "no degree-2 permutation image for generator a.0"),
+    "eval-wrong-degree": (lambda: eval_word(gen(A), {A: (1, 0)}, 3),
+                          "no degree-3 permutation image for generator a.0"),
+    "pullback-missing-image": (lambda: pullback(Hom(Z2, symmetric(2), ()), ID_Z2),
+                               "no degree-2 permutation image for generator a.0"),
 }
 
 
