@@ -343,7 +343,7 @@ def tuple_of_rep(cfg: Configuration, result: AssemblyResult,
     if not isinstance(rep.target, PermGroupTarget):
         raise ValueError("representation is not into a permutation group")
     degree = rep.target.degree
-    images = rep.images_dict()
+    images = hom(result.presentation, rep.target, rep.images_dict()).images_dict()
     for i in _failing_relators(result.presentation.relations, images, degree):
         raise ValueError(f"representation violates relator {result.presentation.relations[i]}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import comb, factorial, gcd
 from typing import Iterator, Mapping, Sequence, Union
 
 from .perms import (Perm, PermGroupTarget, compose, identity_perm,
@@ -254,39 +254,127 @@ def fingerprint(p: Presentation, probes: Sequence[PermGroupTarget]) -> Fingerpri
     return Fingerprint(probes, tuple(hom_count(p, g) for g in probes))
 
 
+def _relator_order(rel: tuple[tuple[int, int], ...]) -> tuple:
+    # Shortest first, then the least generators, positive letters first.
+    return len(rel), [(gi, -s) for gi, s in rel]
+
+
+def _reduced_relators(p: Presentation) -> list[tuple[tuple[int, int], ...]]:
+    """The counter's relators: each nonempty indexed relator cyclically
+    reduced, and one kept per class up to rotation and inversion, all in
+    ``_relator_order``.
+
+    A permutation action satisfies a relator iff it satisfies every
+    cyclic conjugate and the inverse, so the transitive actions are those
+    of ``p``.  The order changes no count; positive letters first and
+    short relators first made the search faster on relator-heavy inputs.
+    Only the counter reads this list; the census never sees a
+    presentation, so census = counter also certifies the reduction.
+    """
+    classes = set()
+    for w in _indexed_relators(p):  # already freely reduced
+        while len(w) > 1 and w[0] == (w[-1][0], -w[-1][1]):
+            w = w[1:-1]
+        inv = tuple((gi, -s) for gi, s in reversed(w))
+        classes.add(min((v[k:] + v[:k] for v in (w, inv) for k in range(len(w))),
+                        key=_relator_order))
+    return sorted(classes, key=_relator_order)
+
+
+def _subgroup_counts(h: Sequence[int]) -> list[int]:
+    """Hall's count (1949): from h_k = |Hom(G, S_k)| for k = 1..n, the
+    numbers a_1..a_n of index-k subgroups of G.
+
+    t_k = (k-1)!·a_k counts the transitive homs into S_k; a hom into S_n
+    is a transitive action on the orbit of point 0, of some size k, times
+    any action on the other n-k points, so
+    t_n = h_n - sum_{k<n} C(n-1, k-1)·t_k·h_{n-k}, which is
+    a_n = h_n/(n-1)! - sum_{k<n} h_{n-k}/(n-k)!·a_k in integers.
+    """
+    t: list[int] = []
+    a: list[int] = []
+    for n, hn in enumerate(h, 1):
+        t.append(hn - sum(comb(n - 1, k - 1) * t[k - 1] * h[n - k - 1]
+                          for k in range(1, n)))
+        q, rem = divmod(t[-1], factorial(n - 1))
+        if rem:
+            raise ValueError(f"h_1..h_{n} are not hom counts into S_1..S_{n}")
+        a.append(q)
+    return a
+
+
+def _free_transitive_count(r: int, n: int) -> int:
+    """c_n(F_r), the transitive actions of the free group of rank r >= 1
+    on n points up to conjugation, by Liskovets's count (1971):
+    c_n = (1/n) sum_{l | n} a_l·|Epi(F_m, Z/(n/l))| with m = l(r-1)+1.
+
+    a_l is Hall's subgroup count with h_k = (k!)^r, and an index-l
+    subgroup of F_r is free of rank m (Schreier).  A hom F_m -> Z/k maps
+    onto the subgroup of order j for exactly one j | k, so
+    |Epi(F_m, Z/k)| = k^m - sum_{j | k, j < k} |Epi(F_m, Z/j)|.
+    """
+    a = _subgroup_counts([factorial(k) ** r for k in range(1, n + 1)])
+    total = 0
+    for l in range(1, n + 1):
+        if n % l:
+            continue
+        m, epi = l * (r - 1) + 1, [0]  # epi[j] = |Epi(F_m, Z/j)|
+        for j in range(1, n // l + 1):
+            epi.append(j ** m - sum(epi[i] for i in range(1, j) if j % i == 0))
+        total += a[l - 1] * epi[-1]
+    if total % n:
+        raise RuntimeError("Liskovets's class count is not an integer")
+    return total // n
+
+
 def count_transitive_actions(p: Presentation, degree: int) -> int:
     """Transitive actions of ``p`` on {0..degree-1} up to conjugation.
 
     Equivalently: isomorphism classes of connected degree-``degree`` covers
-    of the classifying object.  The search fills the table cell by cell,
-    point-major ((point 0, generator 0), (point 0, generator 1), ...), and
-    enumerates one canonically labelled table per pointed action (points
-    are labelled in the order this scan discovers them, so per-table
-    relabelling freedom is gone), then divides out the base-point choice by
-    automorphism counting: each isomorphism class of transitive actions
-    contains degree/|Aut| pointed tables, so the class count is
-    sum(|Aut|)/degree.  A seed is an automorphism iff its scan-order
-    relabelling reproduces the table; that relabelling is checked cell by
-    cell while it is built and abandoned at the first mismatch.  Most
-    tables are certified to have |Aut| = 1 without trying a seed: the scan
-    keeps each generator's fixed-point count, and a table whose counts and
-    degree have gcd 1 has no nontrivial automorphism.  The centralizer of
-    a transitive group acts freely (Dixon and Mortimer, Thm 4.2A), so a
-    nontrivial automorphism has a power of some prime order p without
-    fixed points; it commutes with every generator, so it permutes each
-    generator's fixed points in p-cycles, and p divides the degree and
-    every count.  The scan runs on an explicit stack, one entry per cell,
-    so its depth (degree times rank) is not bounded by the interpreter's
-    recursion limit; a cell's label is its own table entry, set while the
-    scan is below the cell and cleared once its labels are exhausted.
+    of the classifying object.  The relators are first cyclically reduced
+    and deduplicated (``_reduced_relators``).  When none is left, ``p`` is
+    free of rank r and the count is exact integer arithmetic: Hall's
+    subgroup count (1949) fed into Liskovets's class count (1971), see
+    ``_free_transitive_count``.  Otherwise ``_count_by_search`` finds the
+    actions by search.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    gens = p.generators
-    r = len(gens)
+    r = len(p.generators)
     if r == 0:
         return 1 if degree == 1 else 0
-    rels = _indexed_relators(p)
+    rels = _reduced_relators(p)
+    if not rels:
+        return _free_transitive_count(r, degree)
+    return _count_by_search(r, rels, degree)
+
+
+def _count_by_search(r: int, rels: Sequence[tuple[tuple[int, int], ...]],
+                     degree: int) -> int:
+    """Transitive actions on {0..degree-1} up to conjugation of the group
+    with r >= 1 generators and the indexed relators ``rels``, by search.
+
+    The search fills the table cell by cell, point-major ((point 0,
+    generator 0), (point 0, generator 1), ...), and enumerates one
+    canonically labelled table per pointed action (points are labelled in
+    the order this scan discovers them, so per-table relabelling freedom is
+    gone), then divides out the base-point choice by automorphism counting:
+    each isomorphism class of transitive actions contains degree/|Aut|
+    pointed tables, so the class count is sum(|Aut|)/degree.  A seed is an
+    automorphism iff its scan-order relabelling reproduces the table; that
+    relabelling is checked cell by cell while it is built and abandoned at
+    the first mismatch.  Most tables are certified to have |Aut| = 1 without
+    trying a seed: the scan keeps each generator's fixed-point count, and a
+    table whose counts and degree have gcd 1 has no nontrivial automorphism.
+    The centralizer of a transitive group acts freely (Dixon and Mortimer,
+    Thm 4.2A), so a nontrivial automorphism has a power of some prime order
+    p without fixed points; it commutes with every generator, so it permutes
+    each generator's fixed points in p-cycles, and p divides the degree and
+    every count.  The scan runs on an explicit stack, one entry per cell, so
+    its depth (degree times rank) is not bounded by the interpreter's
+    recursion limit; a cell's label is its own table entry, set while the
+    scan is below the cell and cleared once its labels are exhausted.
+    """
     # Pointwise tracing applies letters one at a time, so walk them reversed
     # to realize the left action (rightmost letter acts first).
     paths = [tuple(reversed(rel)) for rel in rels]

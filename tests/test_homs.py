@@ -8,17 +8,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import fields
-from math import gcd
+from math import factorial, gcd
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from devissage import (GenId, Hom, Presentation, Word, assemble_direct,
                        assemble_recursive, count_transitive_actions, cyclic, cyclic_presentation,
-                       enumerate_homs, eval_word, fingerprint, free_presentation,
-                       free_product, gen, hom, hom_count, pullback, symmetric,
-                       verify_hom, word)
+                       enumerate_homs, enumerate_tuples, eval_word, fingerprint,
+                       free_presentation, free_product, gen, hom, hom_count, homs,
+                       parse_config, pullback, symmetric, verify_hom, word)
 from devissage.corpus import bouquet, full_corpus
+from devissage.homs import (_count_by_search, _indexed_relators, _reduced_relators,
+                            _subgroup_counts)
 
 Z2 = cyclic_presentation("a", 2)
 Z3 = cyclic_presentation("a", 3)
@@ -243,10 +247,98 @@ def test_degree_must_be_positive():
 
 
 def test_counter_of_high_rank_does_not_recurse():
-    # the scan's depth is degree x rank, 1099 cells here
+    # the scan's depth is degree x rank, 1099 cells here; the presentation
+    # is free, so the public counter takes the formula and the search is
+    # called directly
     pres = assemble_direct(bouquet(1100)).presentation
     assert len(pres.generators) == 1099
+    assert _count_by_search(len(pres.generators), _reduced_relators(pres), 1) == 1
     assert count_transitive_actions(pres, 1) == 1
+
+
+# Degrees at which the search of a free group of rank r takes well under a
+# second; F_3 at degree 6 takes about 13 s and F_4 at degree 5 about 38 s.
+FREE_SEARCH_TOP = {1: 6, 2: 6, 3: 5, 4: 4}
+
+
+@pytest.mark.parametrize("r,n", [(r, n) for r, top in FREE_SEARCH_TOP.items()
+                                 for n in range(1, top + 1)])
+def test_free_formula_equals_the_search(r, n):
+    assert count_transitive_actions(free_presentation("f", r), n) == \
+        _count_by_search(r, [], n)
+
+
+def test_free_formula_beyond_the_search():
+    # Hall's a_7(F_3) and Liskovets's c_7(F_3), which no search here reaches
+    assert _subgroup_counts([factorial(k) ** 3 for k in range(1, 8)])[-1] == 173_773_153
+    assert count_transitive_actions(free_presentation("f", 3), 7) == 24_824_785
+    assert count_transitive_actions(free_presentation("f", 2), 7) == 4_163
+
+
+def test_census_equals_the_free_formula_at_degree_seven():
+    cfg = full_corpus()["bouquet3"]
+    pres = assemble_direct(cfg).presentation
+    assert len(enumerate_tuples(cfg, 7)) == count_transitive_actions(pres, 7) == 4_163
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_hall_subgroup_counts_of_cyclic_groups(m):
+    # Z/m has one subgroup of each index dividing m and no other
+    h = [hom_count(cyclic_presentation("a", m), symmetric(k)) for k in range(1, 6)]
+    assert _subgroup_counts(h) == [int(m % n == 0) for n in range(1, 6)]
+
+
+def test_reduced_relators_merge_rotations_conjugates_and_inverses_only():
+    a, b = GenId("h", 0), GenId("h", 1)
+    w = word((a, 1), (a, 1), (b, 1), (a, 1), (b, 1), (b, 1))
+    c = word((b, -1), (a, 1))
+    rotated = Word(w.letters[2:] + w.letters[:2])
+    # the mirror image b·b·a·b·a·a is no rotation of w or of its inverse
+    mirror = Word(tuple(reversed(w.letters)))
+    p = Presentation((a, b), (w, rotated, c * w * c.inverse(), w.inverse(), mirror))
+    # one class each, in its least rotation: a·a·b·a·b·b and a·a·b·b·a·b
+    assert _reduced_relators(p) == [((0, 1), (0, 1), (1, 1), (0, 1), (1, 1), (1, 1)),
+                                    ((0, 1), (0, 1), (1, 1), (1, 1), (0, 1), (1, 1))]
+
+
+def test_reduced_relators_of_the_s4_schreier_presentation():
+    path = Path(__file__).resolve().parent.parent / "configs" / "s4_nodal.json"
+    pres = assemble_direct(parse_config(str(path))).presentation
+    assert [len(pres.relations), sum(map(len, pres.relations))] == [25, 220]
+    reduced = _reduced_relators(pres)
+    assert [len(reduced), sum(map(len, reduced))] == [10, 84]
+
+
+LETTERS = st.tuples(st.integers(0, 1), st.sampled_from([1, -1]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.tuples(st.lists(LETTERS, max_size=5), st.lists(LETTERS, max_size=2),
+                          st.booleans()), max_size=3))
+def test_reduced_relators_keep_the_search_count(specs):
+    # each relator comes with a conjugate of itself or of its inverse, which
+    # the reduction folds into one class
+    gens = (GenId("h", 0), GenId("h", 1))
+    rels = []
+    for body, conj, invert in specs:
+        w = Word(tuple((gens[i], s) for i, s in body))
+        c = Word(tuple((gens[i], s) for i, s in conj))
+        rels += [w, c * (w.inverse() if invert else w) * c.inverse()]
+    p = Presentation(gens, tuple(rels))
+    raw, reduced = _indexed_relators(p), _reduced_relators(p)
+    assert len(reduced) <= len(raw) and sum(map(len, reduced)) <= sum(map(len, raw))
+    for d in range(1, 5):
+        assert _count_by_search(2, reduced, d) == _count_by_search(2, raw, d), d
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.lists(LETTERS, max_size=6), max_size=3))
+def test_cancelling_relators_take_the_formula(bodies):
+    gens = (GenId("h", 0), GenId("h", 1))
+    words = [Word(tuple((gens[i], s) for i, s in body)) for body in bodies]
+    p = Presentation(gens, tuple(w * w.inverse() for w in words))
+    with mock.patch.object(homs, "_count_by_search", side_effect=AssertionError("searched")):
+        assert [count_transitive_actions(p, d) for d in range(1, 6)] == [1, 3, 7, 26, 97]
 
 
 def _corpus_oracle_cases():

@@ -19,7 +19,7 @@ from devissage import (DescentTuple, GenId, Hom, TupleIso, assemble_direct,
                        discreteness_verdict, enumerate_tuples, eval_word, gen,
                        hom, is_tuple_iso, pullback, rep_of_tuple, symmetric,
                        tuple_components, tuple_of_rep, validate_tuple, verify_hom)
-from devissage.corpus import equivariant_z2, s3_nodal, z2_chain, z2_nodal
+from devissage.corpus import equivariant_z2, nodal_cubic, s3_nodal, z2_chain, z2_nodal
 
 CONFIGS = [z2_nodal(), equivariant_z2(), s3_nodal(), z2_chain()]
 # Per configuration, its direct assembly with each census tuple of degree 2 or 3.
@@ -156,12 +156,22 @@ def test_hom_readers_answer_mutated_images(case):
     direct = Hom(p, symmetric(d), tuple(images.items()))
     assert isinstance(answer(lambda: verify_hom(direct)), (bool, ValueError))
     answer(lambda: pullback(direct, words))
+    t = answer(lambda: tuple_of_rep(cfg, res, direct))
+    assert isinstance(t, ValueError) or validate_tuple(cfg, t) == []
     checked = answer(lambda: hom(p, symmetric(d), images))
     if isinstance(checked, Hom):
         assert isinstance(verify_hom(checked), bool)
         answer(lambda: pullback(checked, words))
         t = answer(lambda: tuple_of_rep(cfg, res, checked))
         assert isinstance(t, ValueError) or validate_tuple(cfg, t) == []
+
+
+def test_tuple_of_rep_names_a_missing_image():
+    # x.e2.0, the free generator of the cotree edge, is in no relator
+    cfg = nodal_cubic()
+    res = assemble_direct(cfg)
+    rep = Hom(res.presentation, symmetric(2), ())
+    assert str(answer(lambda: tuple_of_rep(cfg, res, rep))) == "missing image for x.e2.0"
 
 
 VERDICTS = st.sampled_from(["discrete", "not-discrete", "unknown", "bogus", "", None])
