@@ -303,27 +303,54 @@ def _subgroup_counts(h: Sequence[int]) -> list[int]:
     return a
 
 
-def _free_transitive_count(r: int, n: int) -> int:
-    """c_n(F_r), the transitive actions of the free group of rank r >= 1
-    on n points up to conjugation, by Liskovets's count (1971):
-    c_n = (1/n) sum_{l | n} a_l·|Epi(F_m, Z/(n/l))| with m = l(r-1)+1.
+def _free_product_transitive_count(orders: Sequence[int], r: int, n: int) -> int:
+    """c_n(G), the transitive actions on n points up to conjugation of
+    G = Z/m_1 * ... * Z/m_k * F_r (``orders`` lists m_1..m_k), by
+    Mednykh's count (1982):
+    c_n = (1/n) sum_{l | n} sum_{[G:K] = l} |Epi(K, Z/(n/l))|.
 
-    a_l is Hall's subgroup count with h_k = (k!)^r, and an index-l
-    subgroup of F_r is free of rank m (Schreier).  A hom F_m -> Z/k maps
-    onto the subgroup of order j for exactly one j | k, so
-    |Epi(F_m, Z/k)| = k^m - sum_{j | k, j < k} |Epi(F_m, Z/j)|.
+    By Kurosh, an index-l subgroup K is the free product of Z/(m_i/|c|)
+    over the cycles c of each a_i on G/K and of F_b, where
+    b = 1 - C + l(k + r - 1) by Euler characteristic (C cycles in all).
+    So j^(l-1)·|Hom(K, Z/j)| = j^(lr)·prod over cycles of
+    gcd(m_i/|c|, j)·j^(|c|-1), a weight that multiplies over the orbits
+    of any action.  Hall's recursion over the weighted counts
+    H_q = j^(qr)·(q!)^r·prod_i S_i(q) of all homs into S_q, where S_i(q)
+    sums the weights of the permutations whose m_i-th power is trivial,
+    thus gives j^(l-1)·sum_{[G:K] = l} |Hom(K, Z/j)|.  A hom onto Z/k
+    maps onto the subgroup of order j for exactly one j | k, so
+    |Epi(K, Z/k)| = |Hom(K, Z/k)| - sum_{j | k, j < k} |Epi(K, Z/j)|.
+    Free groups are the case k = 0 (Liskovets, 1971).
     """
-    a = _subgroup_counts([factorial(k) ** r for k in range(1, n + 1)])
+    hom_sums = {}  # hom_sums[j][l-1] = sum over index-l K of |Hom(K, Z/j)|
+    for j in range(1, n + 1):
+        if n % j:
+            continue
+        weights = [[1] for _ in orders]  # per order m, S(0), S(1), ...
+        h = []
+        for q in range(1, n // j + 1):
+            hq = (j ** q * factorial(q)) ** r
+            for m, s in zip(orders, weights):
+                s.append(sum(factorial(q - 1) // factorial(q - d) * gcd(m // d, j)
+                             * j ** (d - 1) * s[q - d]
+                             for d in range(1, min(m, q) + 1) if m % d == 0))
+                hq *= s[q]
+            h.append(hq)
+        scaled = [divmod(a, j ** l) for l, a in enumerate(_subgroup_counts(h))]
+        if any(rem for _, rem in scaled):
+            raise RuntimeError("a weighted subgroup count is not a multiple of j^(l-1)")
+        hom_sums[j] = [x for x, _ in scaled]
     total = 0
     for l in range(1, n + 1):
         if n % l:
             continue
-        m, epi = l * (r - 1) + 1, [0]  # epi[j] = |Epi(F_m, Z/j)|
+        epi: dict[int, int] = {}  # epi[j] = sum over K of |Epi(K, Z/j)|
         for j in range(1, n // l + 1):
-            epi.append(j ** m - sum(epi[i] for i in range(1, j) if j % i == 0))
-        total += a[l - 1] * epi[-1]
+            if n // l % j == 0:
+                epi[j] = hom_sums[j][l - 1] - sum(e for i, e in epi.items() if j % i == 0)
+        total += epi[n // l]
     if total % n:
-        raise RuntimeError("Liskovets's class count is not an integer")
+        raise RuntimeError("Mednykh's class count is not an integer")
     return total // n
 
 
@@ -332,11 +359,15 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
 
     Equivalently: isomorphism classes of connected degree-``degree`` covers
     of the classifying object.  The relators are first cyclically reduced
-    and deduplicated (``_reduced_relators``).  When none is left, ``p`` is
-    free of rank r and the count is exact integer arithmetic: Hall's
-    subgroup count (1949) fed into Liskovets's class count (1971), see
-    ``_free_transitive_count``.  Otherwise ``_count_by_search`` finds the
-    actions by search.
+    and deduplicated (``_reduced_relators``).  When each one left is a
+    power a^e of a single generator, ``p`` is a free product of cyclic
+    groups, Z/m for a generator whose relators have lengths of gcd m and Z
+    for a generator in no relator, and the count is exact integer
+    arithmetic: Hall's subgroup recursion (1949) over Kurosh's subgroups,
+    fed into Mednykh's class count (1982), see
+    ``_free_product_transitive_count``.  Free groups are the case with no
+    relator left.  Otherwise ``_count_by_search`` finds the actions by
+    search.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -344,9 +375,12 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
     if r == 0:
         return 1 if degree == 1 else 0
     rels = _reduced_relators(p)
-    if not rels:
-        return _free_transitive_count(r, degree)
-    return _count_by_search(r, rels, degree)
+    orders: dict[int, int] = {}  # generator -> gcd of its relators' lengths
+    for rel in rels:
+        if any(gi != rel[0][0] for gi, _ in rel):
+            return _count_by_search(r, rels, degree)
+        orders[rel[0][0]] = gcd(orders.get(rel[0][0], 0), len(rel))
+    return _free_product_transitive_count(list(orders.values()), r - len(orders), degree)
 
 
 def _count_by_search(r: int, rels: Sequence[tuple[tuple[int, int], ...]],

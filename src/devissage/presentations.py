@@ -3,15 +3,16 @@
 A presentation is a finite generator list plus a finite list of relators
 (words asserted equal to the identity).  No word-problem machinery lives
 here: two presentations are compared only through their finite permutation
-actions (see ``homs``).
+actions (see ``homs``), and ``_abelian_failures`` reads words only through
+their exponent sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .words import GenId, Word, reduce_word
+from .words import GenId, Letter, Word, reduce_word
 
 __all__ = [
     "Presentation",
@@ -116,3 +117,55 @@ def rename_namespaces(
     renamed = Presentation(tuple(mapping[g] for g in p.generators),
                            tuple(rw(w) for w in p.relations))
     return renamed, mapping
+
+
+def _abelian_failures(relations: Sequence[Word], images: Mapping[GenId, Word],
+                      target: Presentation) -> Iterator[int]:
+    """The positions of the relators whose image under ``images`` is not
+    trivial even in the abelianisation of ``target``: the image's exponent
+    sums lie outside the row lattice of the target's exponent-sum matrix.
+    Each relator is checked only when asked for."""
+    pos = {g: i for i, g in enumerate(target.generators)}
+
+    def sums(letters: Iterable[Letter]) -> list[int]:
+        v = [0] * len(pos)
+        for g, s in letters:
+            v[pos[g]] += s
+        return v
+
+    basis = _row_echelon([sums(w.letters) for w in target.relations])
+    return (j for j, rel in enumerate(relations)
+            if not _in_row_lattice(sums((t, s * e) for g, s in rel.letters
+                                        for t, e in images[g].letters), basis))
+
+
+def _row_echelon(rows: list[list[int]]) -> list[list[int]]:
+    """A basis of the integer row lattice of ``rows`` in echelon form: each
+    row's first nonzero entry, its pivot, is positive and lies strictly
+    right of the previous row's.  Euclid's algorithm on each column in
+    turn, by integer row operations only."""
+    basis: list[list[int]] = []
+    rows = [r for r in rows if any(r)]
+    for c in range(len(rows[0]) if rows else 0):
+        live = [r for r in rows if r[c]]
+        rows = [r for r in rows if not r[c]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[c]))
+            p, rest, live = live[0], live[1:], [live[0]]
+            for r in rest:
+                r = [x - r[c] // p[c] * y for x, y in zip(r, p)]
+                (live if r[c] else rows).append(r)
+        if live:
+            basis.append(live[0] if live[0][c] > 0 else [-x for x in live[0]])
+        rows = [r for r in rows if any(r)]
+    return basis
+
+
+def _in_row_lattice(v: list[int], basis: list[list[int]]) -> bool:
+    """True iff ``v`` is an integer combination of the echelon ``basis``:
+    each pivot fixes its row's coefficient, and nothing may be left."""
+    for row in basis:
+        c = next(i for i, x in enumerate(row) if x)
+        q = v[c] // row[c]
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .assembly import AssemblyResult
 from .configuration import (ComponentNode, Configuration, Edge, SingularNode)
@@ -39,7 +39,7 @@ from .covers import EquivalenceReport
 from .discreteness import DiscretenessVerdict
 from .homs import Fingerprint, Hom, _failing_relators, eval_word, hom
 from .perms import Perm, _cayley_walk, identity_perm
-from .presentations import Presentation, trivial_presentation
+from .presentations import Presentation, _abelian_failures, trivial_presentation
 from .words import IDENTITY, GenId, Letter, Word, gen
 
 __all__ = [
@@ -203,9 +203,10 @@ def _parse_hom(spec: Any, source: _Group, target: _Group, where: str,
     permutation); entries under other names of the edge group are checked
     as words but not read.  Into a finite group every edge relator must act
     trivially under the map, which is exact because the listed permutations
-    act faithfully; into a presentation the map is not checked, as that is
-    undecidable in general.  ``trivial`` holds the omitted maps, one per
-    pair of presentations."""
+    act faithfully.  Into a presentation that is undecidable in general,
+    so only the abelianised images are checked (``_abelian_failures``), a
+    necessary condition.  ``trivial`` holds the omitted maps, one per pair
+    of presentations."""
     group = source.presentation
     if spec is None:
         if group.generators:
@@ -226,14 +227,18 @@ def _parse_hom(spec: Any, source: _Group, target: _Group, where: str,
         raise ConfigParseError(f"{where}: missing image for {sorted(missing)}")
     images = {g: IDENTITY if key is None else given[key]
               for g, key in zip(group.generators, source.keys)}
+    failing: Iterable[int] = ()
     if target.action is not None:
         degree, perms = target.action
         listed = dict(zip(target.presentation.generators, perms))
         acts = {g: eval_word(w, listed, degree) for g, w in images.items()}
-        for j in _failing_relators(group.relations, acts, degree):
-            raise ConfigSemanticError(f"{where}: edge relator #{j} does not map "
-                                      "to the identity, so the map is not a "
-                                      "homomorphism")
+        failing = _failing_relators(group.relations, acts, degree)
+    elif group.relations:
+        failing = _abelian_failures(group.relations, images, target.presentation)
+    for j in failing:
+        raise ConfigSemanticError(f"{where}: edge relator #{j} does not map "
+                                  "to the identity, so the map is not a "
+                                  "homomorphism")
     return hom(group, target.presentation, images)
 
 

@@ -21,6 +21,7 @@ from devissage import (ConfigParseError, GenId, emit_config, hom_count,
                        parse_config_text, symmetric)
 from devissage.cli import main, parse_probes, run
 from devissage.corpus import bouquet, equivariant_z2, line_cycle, nodal_cubic
+from devissage.presentations import _in_row_lattice, _row_echelon
 from devissage.serialize import ConfigSemanticError, render_report
 
 NODAL = json.dumps({
@@ -429,6 +430,54 @@ def test_edge_map_into_finite_group_must_be_a_homomorphism(tmp_path, capsys, sid
     # c -> a^2 is a homomorphism
     path = write(tmp_path, "good.json", _z2_edge_into_z4(side, ["g1"]))
     assert main([path, "--verify", "--max-degree", "4"]) == 0
+
+
+def _z2_edge_into_presentations(psi: list, a_relations: list) -> str:
+    """X1 = <a | a_relations>, Z1 = <b | b^2>, one edge with group <c | c^2>,
+    psi: c -> ``psi`` and phi: c -> b."""
+    def group(name, relations):
+        return {"kind": "presentation", "generators": [name], "relations": relations}
+    return json.dumps({
+        "components": [{"id": "X1", "group": group("a", a_relations)}],
+        "singulars": [{"id": "Z1", "group": group("b", [["b", "b"]])}],
+        "edges": [{"id": "e1", "component": "X1", "singular": "Z1",
+                   "group": group("c", [["c", "c"]]),
+                   "psi": {"c": psi}, "phi": {"c": ["b"]}}],
+    })
+
+
+def test_edge_map_into_presentation_is_checked_on_abelianisations(tmp_path, capsys):
+    # c -> a sends the edge relator c^2 to a^2, whose exponent sum 2 is not
+    # in 4Z, so the map is no homomorphism into <a | a^4>
+    path = write(tmp_path, "bad.json", _z2_edge_into_presentations(["a"], [["a"] * 4]))
+    assert main([path, "--verify", "--max-degree", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"devissage: invalid configuration: {path}: edges[0]: "
+                            "psi: edge relator #0 does not map to the identity, "
+                            "so the map is not a homomorphism\n")
+    # c -> a^2 is a homomorphism; so is c -> a^-1 into <a | a^6, a^4>, where
+    # the row lattice 6Z + 4Z = 2Z holds -2
+    for psi, rels in ((["a", "a"], [["a"] * 4]), (["-a"], [["a"] * 6, ["a"] * 4])):
+        path = write(tmp_path, "good.json", _z2_edge_into_presentations(psi, rels))
+        assert main([path, "--verify", "--max-degree", "4"]) == 0, psi
+        capsys.readouterr()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), max_size=3),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_row_lattice_membership(rows, coefficients):
+    basis = _row_echelon([list(r) for r in rows])
+    pivots = [next(i for i, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots)) and all(row[c] > 0 for row, c in zip(basis, pivots))
+    # every integer combination of the rows is a member, and, once every row
+    # is doubled, a vector with an odd entry is not
+    v = [sum(c * row[i] for c, row in zip(coefficients, rows)) for i in range(3)]
+    assert _in_row_lattice(v, basis)
+    doubled = _row_echelon([[2 * x for x in r] for r in rows])
+    assert _in_row_lattice([2 * x for x in v], doubled)
+    assert not _in_row_lattice([2 * x + 1 for x in v], doubled)
 
 
 def test_omitted_maps_share_one_trivial_map():

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from devissage import (GenId, Hom, Presentation, Word, assemble_direct,
                        assemble_recursive, count_transitive_actions, cyclic, cyclic_presentation,
@@ -21,8 +21,8 @@ from devissage import (GenId, Hom, Presentation, Word, assemble_direct,
                        free_presentation, free_product, gen, hom, hom_count, homs,
                        parse_config, pullback, symmetric, verify_hom, word)
 from devissage.corpus import bouquet, full_corpus
-from devissage.homs import (_count_by_search, _indexed_relators, _reduced_relators,
-                            _subgroup_counts)
+from devissage.homs import (_count_by_search, _free_product_transitive_count,
+                            _indexed_relators, _reduced_relators, _subgroup_counts)
 
 Z2 = cyclic_presentation("a", 2)
 Z3 = cyclic_presentation("a", 3)
@@ -264,15 +264,77 @@ FREE_SEARCH_TOP = {1: 6, 2: 6, 3: 5, 4: 4}
 @pytest.mark.parametrize("r,n", [(r, n) for r, top in FREE_SEARCH_TOP.items()
                                  for n in range(1, top + 1)])
 def test_free_formula_equals_the_search(r, n):
-    assert count_transitive_actions(free_presentation("f", r), n) == \
-        _count_by_search(r, [], n)
+    search = _count_by_search(r, [], n)
+    assert _free_product_transitive_count([], r, n) == search
+    assert count_transitive_actions(free_presentation("f", r), n) == search
 
 
 def test_free_formula_beyond_the_search():
     # Hall's a_7(F_3) and Liskovets's c_7(F_3), which no search here reaches
     assert _subgroup_counts([factorial(k) ** 3 for k in range(1, 8)])[-1] == 173_773_153
+    assert _free_product_transitive_count([], 3, 7) == 24_824_785
     assert count_transitive_actions(free_presentation("f", 3), 7) == 24_824_785
     assert count_transitive_actions(free_presentation("f", 2), 7) == 4_163
+
+
+def _power(g: GenId, e: int) -> Word:
+    return Word(((g, 1 if e > 0 else -1),) * abs(e))
+
+
+def test_free_product_formula_on_z2_star_z3_equals_the_search():
+    # the modular group <a, b | a^2, b^3>
+    a, b = GenId("m", 0), GenId("m", 1)
+    p = Presentation((a, b), (_power(a, 2), _power(b, 3)))
+    counts = [count_transitive_actions(p, n) for n in range(1, 8)]
+    assert counts == [1, 1, 2, 2, 1, 8, 6]
+    assert counts == [_count_by_search(2, _indexed_relators(p), n) for n in range(1, 8)]
+    assert counts == [_free_product_transitive_count([2, 3], 0, n) for n in range(1, 8)]
+
+
+def test_census_equals_the_free_product_formula_on_z2_double_bouquet_at_degree_six():
+    # <a, x, y | a^2>: the one corpus config with a cyclic factor and a
+    # costly search (about 2 s at degree 6), now counted by formula
+    cfg = full_corpus()["z2_double_bouquet"]
+    pres = assemble_direct(cfg).presentation
+    with mock.patch.object(homs, "_count_by_search", side_effect=AssertionError("searched")):
+        assert count_transitive_actions(pres, 6) == 51_616
+    assert len(enumerate_tuples(cfg, 6)) == 51_616
+
+
+# Cyclic factors: a power a^(+-m), m = 1..6, maybe conjugated and maybe
+# listed twice, and a second power a^m2, so that the factor is Z/gcd(m, m2).
+CYCLIC_FACTOR = st.tuples(st.integers(1, 6), st.sampled_from([1, -1]),
+                          st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1])),
+                                   max_size=2),
+                          st.booleans(), st.integers(1, 12))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(CYCLIC_FACTOR, max_size=2), st.integers(0, 2))
+def test_free_product_formula_equals_the_search(factors, free):
+    assume(factors or free)
+    gens = tuple(GenId("c", i) for i in range(len(factors) + free))
+    rels = []
+    for i, (m, sign, conj, twice, m2) in enumerate(factors):
+        c = Word(tuple((gens[j % len(gens)], s) for j, s in conj))
+        power = c * _power(gens[i], sign * m) * c.inverse()
+        rels += [power] * (1 + twice) + [_power(gens[i], m2)]
+    p = Presentation(gens, tuple(rels))
+    search = _count_by_search
+    with mock.patch.object(homs, "_count_by_search", side_effect=AssertionError("searched")):
+        for d in range(1, 5):
+            assert count_transitive_actions(p, d) == \
+                search(len(gens), _indexed_relators(p), d), d
+
+
+@pytest.mark.parametrize("name", ["s3_nodal", "equivariant_z2", "squared_interface"])
+def test_presentations_with_other_relators_still_search(name):
+    pres = assemble_direct(full_corpus()[name]).presentation
+    with mock.patch.object(homs, "_free_product_transitive_count",
+                           side_effect=AssertionError("formula")):
+        assert [count_transitive_actions(pres, d) for d in range(1, 4)] == \
+            [_count_by_search(len(pres.generators), _reduced_relators(pres), d)
+             for d in range(1, 4)]
 
 
 def test_census_equals_the_free_formula_at_degree_seven():
