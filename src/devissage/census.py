@@ -50,7 +50,6 @@ class _Structure:
                     table.setdefault(sl, []).append(path)
             rel_by_slot.append(table)
 
-        self.edge_ids = [e.id for e in cfg.edges]
         self.edge_comp = []
         self.edge_sing = []
         self.edge_constraints = []
@@ -152,7 +151,7 @@ def _scan(st: _Structure, d: int, *, prune: bool = True):
     pruning, aut is None.
     """
     nf = len(st.fiber_names)
-    ne = len(st.edge_ids)
+    ne = len(st.edge_comp)
     img = [[[-1] * d for _ in st.gen_ids[f]] for f in range(nf)]
     pre = [[[-1] * d for _ in st.gen_ids[f]] for f in range(nf)]
     lam = [[-1] * d for _ in range(ne)]

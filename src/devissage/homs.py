@@ -366,14 +366,12 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
     arithmetic: Hall's subgroup recursion (1949) over Kurosh's subgroups,
     fed into Mednykh's class count (1982), see
     ``_free_product_transitive_count``.  Free groups are the case with no
-    relator left.  Otherwise ``_count_by_search`` finds the actions by
-    search.
+    relator left, and the trivial group the case with no generator.
+    Otherwise ``_count_by_search`` finds the actions by search.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     r = len(p.generators)
-    if r == 0:
-        return 1 if degree == 1 else 0
     rels = _reduced_relators(p)
     orders: dict[int, int] = {}  # generator -> gcd of its relators' lengths
     for rel in rels:
@@ -386,7 +384,9 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
 def _count_by_search(r: int, rels: Sequence[tuple[tuple[int, int], ...]],
                      degree: int) -> int:
     """Transitive actions on {0..degree-1} up to conjugation of the group
-    with r >= 1 generators and the indexed relators ``rels``, by search.
+    with r generators and the indexed relators ``rels``, by search;
+    ``count_transitive_actions`` calls it only when some relator uses two
+    or more generators.
 
     The search fills the table cell by cell, point-major ((point 0,
     generator 0), (point 0, generator 1), ...), and enumerates one
@@ -397,17 +397,11 @@ def _count_by_search(r: int, rels: Sequence[tuple[tuple[int, int], ...]],
     pointed tables, so the class count is sum(|Aut|)/degree.  A seed is an
     automorphism iff its scan-order relabelling reproduces the table; that
     relabelling is checked cell by cell while it is built and abandoned at
-    the first mismatch.  Most tables are certified to have |Aut| = 1 without
-    trying a seed: the scan keeps each generator's fixed-point count, and a
-    table whose counts and degree have gcd 1 has no nontrivial automorphism.
-    The centralizer of a transitive group acts freely (Dixon and Mortimer,
-    Thm 4.2A), so a nontrivial automorphism has a power of some prime order
-    p without fixed points; it commutes with every generator, so it permutes
-    each generator's fixed points in p-cycles, and p divides the degree and
-    every count.  The scan runs on an explicit stack, one entry per cell, so
-    its depth (degree times rank) is not bounded by the interpreter's
-    recursion limit; a cell's label is its own table entry, set while the
-    scan is below the cell and cleared once its labels are exhausted.
+    the first mismatch, and every complete table tries every other seed.
+    The scan runs on an explicit stack, one entry per cell, so its depth
+    (degree times rank) is not bounded by the interpreter's recursion
+    limit; a cell's label is its own table entry, set while the scan is
+    below the cell and cleared once its labels are exhausted.
     """
     # Pointwise tracing applies letters one at a time, so walk them reversed
     # to realize the left action (rightmost letter acts first).
@@ -462,11 +456,10 @@ def _count_by_search(r: int, rels: Sequence[tuple[tuple[int, int], ...]],
         return count
 
     cells = d * r
-    # Per cell: its point, its generator, the row and inverse row it fills,
-    # the relators through its generator, and the point of the next cell.
-    plan = [(cell // r, cell % r, img[cell % r], pre[cell % r], by_gen[cell % r],
+    # Per cell: its point, the row and inverse row of its generator, the
+    # relators through that generator, and the point of the next cell.
+    plan = [(cell // r, img[cell % r], pre[cell % r], by_gen[cell % r],
              (cell + 1) // r) for cell in range(cells)]
-    fixed = [0] * r  # per generator, the points its row maps to themselves
     known = [0] * cells  # points discovered when the cell was reached
     known[0] = 1
     limit = [min(n + 1, d) for n in range(d + 1)]  # labels open to n points
@@ -474,29 +467,23 @@ def _count_by_search(r: int, rels: Sequence[tuple[tuple[int, int], ...]],
     last = cells - 1
     cell = 0
     while cell >= 0:
-        point, gi, row, col, rels, next_point = plan[cell]
+        point, row, col, rels, next_point = plan[cell]
         n, q = known[cell], row[point]
         if q >= 0:
             row[point] = col[q] = -1
-            if q == point:
-                fixed[gi] -= 1
         for q in range(q + 1, limit[n]):
             if col[q] >= 0:
                 continue
             row[point] = q
             col[q] = point
-            if q == point:
-                fixed[gi] += 1
             found = n + 1 if q == n else n
             if not rels or relators_ok(rels, found):
-                if cell == last:  # gcd 1 certifies |Aut| = 1 (see above)
-                    aut_total += 1 if gcd(d, *fixed) == 1 else automorphisms()
+                if cell == last:
+                    aut_total += automorphisms()
                 elif next_point < found:
                     break  # descend to the next cell
                 # else the scan closed up early: a proper sub-action
             row[point] = col[q] = -1
-            if q == point:
-                fixed[gi] -= 1
         else:
             cell -= 1
             continue

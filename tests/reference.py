@@ -76,12 +76,6 @@ def transitive(images: Sequence[Perm], d: int) -> bool:
     return len(seen) == d
 
 
-def centralizer(images: Sequence[Perm], d: int) -> list[Perm]:
-    """Every permutation of d points that commutes with all of ``images``."""
-    return [s for s in all_perms(d)
-            if all(compose(s, p) == compose(p, s) for p in images)]
-
-
 def naive_transitive_classes(num_gens: int,
                              relators: Sequence[Sequence[Letter]],
                              d: int) -> int:

@@ -356,12 +356,14 @@ def test_unreadable_or_unwritable_file_exits_one(tmp_path, argv):
     assert proc.stderr.startswith("devissage: ") and proc.stderr.count("\n") == 1
 
 
-def test_exit_two_on_invalid_config(tmp_path, capsys):
+@pytest.mark.parametrize("key,name", [("singular", "Zmissing"), ("component", "Xmissing")])
+def test_exit_two_on_invalid_config(tmp_path, capsys, key, name):
     doc = json.loads(NODAL)
-    doc["edges"][0]["singular"] = "Zmissing"
+    doc["edges"][0][key] = name
     path = write(tmp_path, "c.json", json.dumps(doc))
     assert main([path]) == 2
-    assert "invalid configuration" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"devissage: invalid configuration: {path}: edges[0]: unknown {key} {name!r}\n"
 
 
 def test_invalid_config_prints_one_line(tmp_path, capsys):

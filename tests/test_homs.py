@@ -6,9 +6,8 @@ in tests/reference.py before the search engines were written.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import fields
-from math import factorial, gcd
+from math import factorial
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +22,7 @@ from devissage import (GenId, Hom, Presentation, Word, assemble_direct,
 from devissage.corpus import bouquet, full_corpus
 from devissage.homs import (_count_by_search, _free_product_transitive_count,
                             _indexed_relators, _reduced_relators, _subgroup_counts)
+from devissage.presentations import trivial_presentation
 
 Z2 = cyclic_presentation("a", 2)
 Z3 = cyclic_presentation("a", 3)
@@ -237,8 +237,10 @@ def test_z2_star_z_counts(d, expected):
 
 
 def test_trivial_presentation_counts():
-    assert count_transitive_actions(Presentation(()), 1) == 1
-    assert count_transitive_actions(Presentation(()), 3) == 0
+    # the free product with no factor: the formula, not a search
+    with mock.patch.object(homs, "_count_by_search", side_effect=AssertionError("searched")):
+        assert [count_transitive_actions(trivial_presentation(), n) for n in range(1, 8)] == \
+            [1, 0, 0, 0, 0, 0, 0]
 
 
 def test_degree_must_be_positive():
@@ -337,6 +339,17 @@ def test_presentations_with_other_relators_still_search(name):
              for d in range(1, 4)]
 
 
+def test_census_equals_the_search_on_s3_nodal_at_degree_six():
+    # S3 * Z: some of its reduced relators use both S3 generators, so the
+    # counter searches, here one degree above the corpus tests
+    cfg = parse_config(str(Path(__file__).resolve().parent.parent / "configs" / "s3_nodal.json"))
+    pres = assemble_direct(cfg).presentation
+    with mock.patch.object(homs, "_free_product_transitive_count",
+                           side_effect=AssertionError("formula")):
+        assert count_transitive_actions(pres, 6) == 899
+    assert len(enumerate_tuples(cfg, 6)) == 899
+
+
 def test_census_equals_the_free_formula_at_degree_seven():
     cfg = full_corpus()["bouquet3"]
     pres = assemble_direct(cfg).presentation
@@ -418,23 +431,6 @@ def test_counter_matches_naive_reference_on_corpus(name, d):
     relators = [[(index[g], s) for g, s in w.letters] for w in pres.relations]
     assert count_transitive_actions(pres, d) == \
         naive_transitive_classes(len(pres.generators), relators, d)
-
-
-@pytest.mark.parametrize("d", range(1, 5))
-def test_fixed_point_certificate_against_brute_force_centralizers(d):
-    # the counter's leaf test: when the degree and the generators'
-    # fixed-point counts have gcd 1, a transitive action has no
-    # automorphism but the identity
-    from reference import all_perms, centralizer, identity, transitive
-    certified = 0
-    for images in itertools.product(all_perms(d), repeat=2):
-        if not transitive(images, d):
-            continue
-        fixed = [sum(p[x] == x for x in range(d)) for p in images]
-        if gcd(d, *fixed) == 1:
-            certified += 1
-            assert centralizer(images, d) == [identity(d)], images
-    assert certified or d == 2  # the only transitive group of S2 is abelian
 
 
 @pytest.mark.parametrize("n", range(1, 7))
