@@ -85,6 +85,8 @@ def run(cfg: Configuration, *, max_degree: int = 4, verify: bool = False,
         restrictions: dict[str, str] | None = None,
         timings: bool = False) -> tuple[dict, bool]:
     """Assemble, fingerprint, optionally verify; returns (report, all passed)."""
+    if method not in ("direct", "both"):
+        raise ValueError(f"method must be 'direct' or 'both', not {method!r}")
     probes = probes or parse_probes(DEFAULT_PROBES)
     # a bad verdicts file fails before the search, not after it
     verdict = None if restrictions is None else discreteness_verdict(cfg, restrictions)

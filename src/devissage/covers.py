@@ -263,6 +263,8 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
     ``gluings`` tuple, the one object each tuple holds alone.  Callers
     must not mutate a returned tuple's dicts.
     """
+    if not isinstance(degree, int):
+        raise ValueError(f"degree must be an integer, not {degree!r}")
     if degree < 1:
         raise ValueError("degree must be at least 1")
     st = _Structure(cfg)
@@ -382,6 +384,8 @@ def equivalence_report(cfg: Configuration, result: AssemblyResult,
     census index serves every degree, whose count is the number of tables
     its scan yields, none of them copied."""
     st = _Structure(cfg)
+    if not isinstance(max_degree, int):
+        raise ValueError(f"max_degree must be an integer, not {max_degree!r}")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     rows = tuple(EquivalenceRow(d, sum(1 for _ in _scan(st, d)),

@@ -369,6 +369,8 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
     relator left, and the trivial group the case with no generator.
     Otherwise ``_count_by_search`` finds the actions by search.
     """
+    if not isinstance(degree, int):
+        raise ValueError(f"degree must be an integer, not {degree!r}")
     if degree < 1:
         raise ValueError("degree must be at least 1")
     r = len(p.generators)
@@ -400,8 +402,10 @@ def _count_by_search(r: int, rels: Sequence[tuple[tuple[int, int], ...]],
     the first mismatch, and every complete table tries every other seed.
     The scan runs on an explicit stack, one entry per cell, so its depth
     (degree times rank) is not bounded by the interpreter's recursion
-    limit; a cell's label is its own table entry, set while the scan is
-    below the cell and cleared once its labels are exhausted.
+    limit; a cell's label is its own table entry.  One site at the top of
+    the loop picks, sets and undoes every label: a cell's first label and
+    its next one after a failed relator check, a complete table, an early
+    close-up or a backtrack all pass through it.
     """
     # Pointwise tracing applies letters one at a time, so walk them reversed
     # to realize the left action (rightmost letter acts first).
@@ -460,35 +464,33 @@ def _count_by_search(r: int, rels: Sequence[tuple[tuple[int, int], ...]],
     # relators through that generator, and the point of the next cell.
     plan = [(cell // r, img[cell % r], pre[cell % r], by_gen[cell % r],
              (cell + 1) // r) for cell in range(cells)]
-    known = [0] * cells  # points discovered when the cell was reached
-    known[0] = 1
+    known = [1] * cells  # points discovered when the cell was reached; set on descent
     limit = [min(n + 1, d) for n in range(d + 1)]  # labels open to n points
     aut_total = 0
     last = cells - 1
     cell = 0
     while cell >= 0:
+        # The one site that picks, sets and undoes labels.
         point, row, col, rels, next_point = plan[cell]
-        n, q = known[cell], row[point]
-        if q >= 0:
-            row[point] = col[q] = -1
-        for q in range(q + 1, limit[n]):
-            if col[q] >= 0:
-                continue
-            row[point] = q
-            col[q] = point
-            found = n + 1 if q == n else n
-            if not rels or relators_ok(rels, found):
-                if cell == last:
-                    aut_total += automorphisms()
-                elif next_point < found:
-                    break  # descend to the next cell
-                # else the scan closed up early: a proper sub-action
-            row[point] = col[q] = -1
-        else:
+        n, q = known[cell], row[point] + 1  # q: the first label to try
+        if q:
+            row[point] = col[q - 1] = -1
+        top = limit[n]
+        while q < top and col[q] >= 0:
+            q += 1
+        if q == top:
             cell -= 1
             continue
-        cell += 1
-        known[cell] = found
+        row[point], col[q] = q, point
+        found = n + 1 if q == n else n
+        if rels and not relators_ok(rels, found):
+            continue
+        if cell == last:
+            aut_total += automorphisms()
+        elif next_point < found:
+            cell += 1
+            known[cell] = found
+        # else the scan closed up early: a proper sub-action
     if aut_total % d:
         raise RuntimeError("automorphism bookkeeping is inconsistent")
     return aut_total // d

@@ -163,6 +163,14 @@ def test_run_rejects_verification_below_degree_one():
         run(nodal_cubic(), verify=True, max_degree=0)
 
 
+@pytest.mark.parametrize("method", ["recursive", "Both", ""])
+def test_run_rejects_an_unknown_method(method):
+    # main's argparse choices reject these; the library call must not fall
+    # back to the direct route alone and pass
+    with pytest.raises(ValueError, match=f"^method must be 'direct' or 'both', not {method!r}$"):
+        run(line_cycle(2), method=method)
+
+
 def test_run_reports_both_methods_when_two_singulars():
     report, passed = run(line_cycle(2), verify=True, max_degree=3)
     assert passed

@@ -406,6 +406,17 @@ def test_reduced_relators_keep_the_search_count(specs):
         assert _count_by_search(2, reduced, d) == _count_by_search(2, raw, d), d
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.lists(LETTERS, min_size=1, max_size=6), max_size=3))
+def test_search_matches_naive_reference_on_random_relators(rels):
+    # relators over both generators, against the brute force over all
+    # image pairs and all relabellings
+    from reference import naive_transitive_classes
+    for d in range(1, 5):
+        assert _count_by_search(2, [tuple(rel) for rel in rels], d) == \
+            naive_transitive_classes(2, rels, d), d
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.lists(st.lists(LETTERS, max_size=6), max_size=3))
 def test_cancelling_relators_take_the_formula(bodies):

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from devissage import (DescentTuple, GenId, Hom, TupleIso, assemble_direct,
-                       discreteness_verdict, enumerate_tuples, eval_word, gen,
+                       count_transitive_actions, discreteness_verdict, enumerate_tuples,
+                       equivalence_report, eval_word, gen,
                        hom, is_tuple_iso, pullback, rep_of_tuple, symmetric,
                        tuple_components, tuple_of_rep, validate_tuple, verify_hom)
 from devissage.corpus import equivariant_z2, nodal_cubic, s3_nodal, z2_chain, z2_nodal
@@ -185,3 +187,15 @@ def test_discreteness_verdict_answers_mutated_verdict_maps(cfg, data):
     for _ in range(data.draw(st.integers(0, 2))):
         mutate_entries(data.draw, restrictions, VERDICTS, "W9")
     answer(lambda: discreteness_verdict(cfg, restrictions))
+
+
+@pytest.mark.parametrize("degree", [2.5, 3.0, "3", None])
+def test_degree_readers_reject_a_degree_that_is_not_an_integer(degree):
+    cfg = s3_nodal()
+    res = assemble_direct(cfg)
+    for name, call in [("degree", lambda: count_transitive_actions(res.presentation, degree)),
+                       ("degree", lambda: enumerate_tuples(cfg, degree)),
+                       ("max_degree", lambda: equivalence_report(cfg, res, degree))]:
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, not {re.escape(repr(degree))}$"):
+            call()
