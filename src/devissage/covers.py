@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .assembly import AssemblyResult, free_edge_generator
 from .census import _scan, _Structure
 from .configuration import Configuration
-from .homs import (Hom, _failing_relators, count_transitive_actions,
+from .homs import (Hom, _check_degree, _failing_relators, count_transitive_actions,
                    eval_word, hom)
 from .perms import (Perm, PermGroupTarget, compose, identity_perm,
                     inverse_perm, is_perm, symmetric)
@@ -263,10 +263,7 @@ def enumerate_tuples(cfg: Configuration, degree: int) -> list[DescentTuple]:
     ``gluings`` tuple, the one object each tuple holds alone.  Callers
     must not mutate a returned tuple's dicts.
     """
-    if not isinstance(degree, int):
-        raise ValueError(f"degree must be an integer, not {degree!r}")
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
+    _check_degree(degree)
     st = _Structure(cfg)
     shared: dict = {}
     return [_tuple_from_tables(st, degree, img, lam, shared)
@@ -383,11 +380,8 @@ def equivalence_report(cfg: Configuration, result: AssemblyResult,
     """Tuple census against transitive actions for d = 1..max_degree: one
     census index serves every degree, whose count is the number of tables
     its scan yields, none of them copied."""
+    _check_degree(max_degree, "max_degree")
     st = _Structure(cfg)
-    if not isinstance(max_degree, int):
-        raise ValueError(f"max_degree must be an integer, not {max_degree!r}")
-    if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
     rows = tuple(EquivalenceRow(d, sum(1 for _ in _scan(st, d)),
                                 count_transitive_actions(result.presentation, d))
                  for d in range(1, max_degree + 1))

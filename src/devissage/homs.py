@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial, gcd
+from collections import Counter
+from math import comb, factorial, gcd, prod
 from typing import Iterator, Mapping, Sequence, Union
 
 from .perms import (Perm, PermGroupTarget, compose, identity_perm,
                     inverse_perm, is_perm)
-from .presentations import Presentation
+from .presentations import Presentation, _diagonal_form
 from .words import GenId, Word
 
 __all__ = [
@@ -140,7 +141,10 @@ def pullback(h: Hom, via: Hom) -> Hom:
     return hom(via.source, h.target, images)
 
 
-def _indexed_relators(p: Presentation) -> list[tuple[tuple[int, int], ...]]:
+Relator = tuple[tuple[int, int], ...]
+
+
+def _indexed_relators(p: Presentation) -> list[Relator]:
     """The nonempty relators, each letter's generator replaced by its
     position in ``p.generators``."""
     pos = {g: i for i, g in enumerate(p.generators)}
@@ -148,20 +152,46 @@ def _indexed_relators(p: Presentation) -> list[tuple[tuple[int, int], ...]]:
             for w in p.relations if w.letters]
 
 
-def _iter_image_tuples(p: Presentation, g: PermGroupTarget) -> Iterator[tuple[Perm, ...]]:
-    """Depth-first search over generator images in listed order.
+def _blocks(r: int, rels: Sequence[Relator]) -> list[tuple[int, tuple[Relator, ...]]]:
+    """The relator-connected blocks of the generators 0..r-1 (union-find),
+    in the order of their least generators: per block, its rank and its
+    relators in their given order, generators renumbered in the block.  A
+    generator in no relator is a block of rank 1 with no relator.  The
+    group is the free product of its blocks' groups."""
+    parent = list(range(r))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for rel in rels:
+        for x, _ in rel:
+            parent[find(x)] = find(rel[0][0])
+    blocks: dict[int, tuple[list[int], list[Relator]]] = {}
+    for x in range(r):
+        blocks.setdefault(find(x), ([], []))[0].append(x)
+    for rel in rels:
+        blocks[find(rel[0][0])][1].append(rel)
+    pos = {x: i for gens, _ in blocks.values() for i, x in enumerate(gens)}
+    return [(len(gens), tuple(tuple((pos[x], s) for x, s in rel) for rel in block_rels))
+            for gens, block_rels in blocks.values()]
+
+
+def _iter_image_tuples(r: int, rels: Sequence[Relator],
+                       g: PermGroupTarget) -> Iterator[tuple[Perm, ...]]:
+    """Depth-first search over the images of generators 0..r-1 in order,
+    for the indexed relators ``rels``.
 
     A relator is checked as soon as its last-listed generator receives an
     image; this early pruning is what keeps larger probes tractable.  The
     search runs on an explicit stack (per generator, the index of the next
     element to try), so the rank is not bounded by the recursion limit.
     """
-    r = len(p.generators)
     if r == 0:
         yield ()
         return
-    rels = _indexed_relators(p)
-    by_last: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in range(r)]
+    by_last: list[list[Relator]] = [[] for _ in range(r)]
     for rel in rels:
         by_last[max(i for i, _ in rel)].append(rel)
     d = g.degree
@@ -170,7 +200,7 @@ def _iter_image_tuples(p: Presentation, g: PermGroupTarget) -> Iterator[tuple[Pe
     chosen: list[Perm] = [ident] * r
     inverses: list[Perm] = [ident] * r
 
-    def ok(rel: tuple[tuple[int, int], ...]) -> bool:
+    def ok(rel: Relator) -> bool:
         out = ident
         for gi, s in reversed(rel):
             out = compose(chosen[gi] if s > 0 else inverses[gi], out)
@@ -198,39 +228,20 @@ def enumerate_homs(p: Presentation, g: PermGroupTarget) -> list[Hom]:
     """All homs from ``p`` to ``g``, in a fixed deterministic order."""
     gens = p.generators
     return [Hom(p, g, tuple(zip(gens, images)))
-            for images in _iter_image_tuples(p, g)]
+            for images in _iter_image_tuples(len(gens), _indexed_relators(p), g)]
 
 
 def hom_count(p: Presentation, g: PermGroupTarget) -> int:
     """The number of homs from ``p`` to ``g``, counted per block.
 
-    Two generators share a block when some relator uses both (union-find).
-    A hom is an independent choice per block, so the count is the product
-    of the blocks' counts; a generator in no relator is a block of its own
+    The count is the product of the counts of the relator-connected
+    blocks (``_blocks``); a generator in no relator is a block of its own
     with |g| images, which gives Hall's |Hom(F_r, G)| = |G|^r without
     enumerating the |G|^r tuples.  ``enumerate_homs`` is the oracle.
     """
-    parent = {x: x for x in p.generators}
-
-    def find(x: GenId) -> GenId:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for w in p.relations:
-        for x, _ in w.letters:
-            parent[find(x)] = find(w.letters[0][0])
-    gens: dict[GenId, list[GenId]] = {}
-    rels: dict[GenId, list[Word]] = {}
-    for x in p.generators:
-        gens.setdefault(find(x), []).append(x)
-    for w in p.relations:
-        if w.letters:
-            rels.setdefault(find(w.letters[0][0]), []).append(w)
     count = 1
-    for root, block in gens.items():
-        sub = Presentation(tuple(block), tuple(rels.get(root, ())))
-        count *= sum(1 for _ in _iter_image_tuples(sub, g))
+    for r, rels in _blocks(len(p.generators), _indexed_relators(p)):
+        count *= sum(1 for _ in _iter_image_tuples(r, rels, g))
     return count
 
 
@@ -254,12 +265,12 @@ def fingerprint(p: Presentation, probes: Sequence[PermGroupTarget]) -> Fingerpri
     return Fingerprint(probes, tuple(hom_count(p, g) for g in probes))
 
 
-def _relator_order(rel: tuple[tuple[int, int], ...]) -> tuple:
+def _relator_order(rel: Relator) -> tuple:
     # Shortest first, then the least generators, positive letters first.
     return len(rel), [(gi, -s) for gi, s in rel]
 
 
-def _reduced_relators(p: Presentation) -> list[tuple[tuple[int, int], ...]]:
+def _reduced_relators(p: Presentation) -> list[Relator]:
     """The counter's relators: each nonempty indexed relator cyclically
     reduced, and one kept per class up to rotation and inversion, all in
     ``_relator_order``.
@@ -303,114 +314,40 @@ def _subgroup_counts(h: Sequence[int]) -> list[int]:
     return a
 
 
-def _free_product_transitive_count(orders: Sequence[int], r: int, n: int) -> int:
-    """c_n(G), the transitive actions on n points up to conjugation of
-    G = Z/m_1 * ... * Z/m_k * F_r (``orders`` lists m_1..m_k), by
-    Mednykh's count (1982):
-    c_n = (1/n) sum_{l | n} sum_{[G:K] = l} |Epi(K, Z/(n/l))|.
-
-    By Kurosh, an index-l subgroup K is the free product of Z/(m_i/|c|)
-    over the cycles c of each a_i on G/K and of F_b, where
-    b = 1 - C + l(k + r - 1) by Euler characteristic (C cycles in all).
-    So j^(l-1)·|Hom(K, Z/j)| = j^(lr)·prod over cycles of
-    gcd(m_i/|c|, j)·j^(|c|-1), a weight that multiplies over the orbits
-    of any action.  Hall's recursion over the weighted counts
-    H_q = j^(qr)·(q!)^r·prod_i S_i(q) of all homs into S_q, where S_i(q)
-    sums the weights of the permutations whose m_i-th power is trivial,
-    thus gives j^(l-1)·sum_{[G:K] = l} |Hom(K, Z/j)|.  A hom onto Z/k
-    maps onto the subgroup of order j for exactly one j | k, so
-    |Epi(K, Z/k)| = |Hom(K, Z/k)| - sum_{j | k, j < k} |Epi(K, Z/j)|.
-    Free groups are the case k = 0 (Liskovets, 1971).
-    """
-    hom_sums = {}  # hom_sums[j][l-1] = sum over index-l K of |Hom(K, Z/j)|
-    for j in range(1, n + 1):
-        if n % j:
-            continue
-        weights = [[1] for _ in orders]  # per order m, S(0), S(1), ...
-        h = []
-        for q in range(1, n // j + 1):
-            hq = (j ** q * factorial(q)) ** r
-            for m, s in zip(orders, weights):
-                s.append(sum(factorial(q - 1) // factorial(q - d) * gcd(m // d, j)
-                             * j ** (d - 1) * s[q - d]
-                             for d in range(1, min(m, q) + 1) if m % d == 0))
-                hq *= s[q]
-            h.append(hq)
-        scaled = [divmod(a, j ** l) for l, a in enumerate(_subgroup_counts(h))]
-        if any(rem for _, rem in scaled):
-            raise RuntimeError("a weighted subgroup count is not a multiple of j^(l-1)")
-        hom_sums[j] = [x for x, _ in scaled]
-    total = 0
-    for l in range(1, n + 1):
-        if n % l:
-            continue
-        epi: dict[int, int] = {}  # epi[j] = sum over K of |Epi(K, Z/j)|
-        for j in range(1, n // l + 1):
-            if n // l % j == 0:
-                epi[j] = hom_sums[j][l - 1] - sum(e for i, e in epi.items() if j % i == 0)
-        total += epi[n // l]
-    if total % n:
-        raise RuntimeError("Mednykh's class count is not an integer")
-    return total // n
-
-
-def count_transitive_actions(p: Presentation, degree: int) -> int:
-    """Transitive actions of ``p`` on {0..degree-1} up to conjugation.
-
-    Equivalently: isomorphism classes of connected degree-``degree`` covers
-    of the classifying object.  The relators are first cyclically reduced
-    and deduplicated (``_reduced_relators``).  When each one left is a
-    power a^e of a single generator, ``p`` is a free product of cyclic
-    groups, Z/m for a generator whose relators have lengths of gcd m and Z
-    for a generator in no relator, and the count is exact integer
-    arithmetic: Hall's subgroup recursion (1949) over Kurosh's subgroups,
-    fed into Mednykh's class count (1982), see
-    ``_free_product_transitive_count``.  Free groups are the case with no
-    relator left, and the trivial group the case with no generator.
-    Otherwise ``_count_by_search`` finds the actions by search.
-    """
-    if not isinstance(degree, int):
-        raise ValueError(f"degree must be an integer, not {degree!r}")
+def _check_degree(degree: int, name: str = "degree") -> None:
+    """The one check of every degree reader: an int that is not a bool,
+    and at least 1."""
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise ValueError(f"{name} must be an integer, not {degree!r}")
     if degree < 1:
-        raise ValueError("degree must be at least 1")
-    r = len(p.generators)
-    rels = _reduced_relators(p)
-    orders: dict[int, int] = {}  # generator -> gcd of its relators' lengths
-    for rel in rels:
-        if any(gi != rel[0][0] for gi, _ in rel):
-            return _count_by_search(r, rels, degree)
-        orders[rel[0][0]] = gcd(orders.get(rel[0][0], 0), len(rel))
-    return _free_product_transitive_count(list(orders.values()), r - len(orders), degree)
+        raise ValueError(f"{name} must be at least 1")
 
 
-def _count_by_search(r: int, rels: Sequence[tuple[tuple[int, int], ...]],
-                     degree: int) -> int:
-    """Transitive actions on {0..degree-1} up to conjugation of the group
-    with r generators and the indexed relators ``rels``, by search;
-    ``count_transitive_actions`` calls it only when some relator uses two
-    or more generators.
+def _pointed_tables(r: int, rels: Sequence[Relator],
+                    degree: int) -> Iterator[tuple[int, list[list[int]]]]:
+    """The transitive actions on at most ``degree`` points of the group
+    with r >= 1 generators and the indexed relators ``rels``, one table
+    per pointed action, that is one per subgroup of index at most
+    ``degree`` (the stabiliser of point 0).
 
     The search fills the table cell by cell, point-major ((point 0,
-    generator 0), (point 0, generator 1), ...), and enumerates one
-    canonically labelled table per pointed action (points are labelled in
-    the order this scan discovers them, so per-table relabelling freedom is
-    gone), then divides out the base-point choice by automorphism counting:
-    each isomorphism class of transitive actions contains degree/|Aut|
-    pointed tables, so the class count is sum(|Aut|)/degree.  A seed is an
-    automorphism iff its scan-order relabelling reproduces the table; that
-    relabelling is checked cell by cell while it is built and abandoned at
-    the first mismatch, and every complete table tries every other seed.
-    The scan runs on an explicit stack, one entry per cell, so its depth
+    generator 0), (point 0, generator 1), ...), and points are labelled in
+    the order this scan discovers them, so each pointed action has one
+    table.  A table is complete when every discovered point's cells are
+    filled: on all ``degree`` points, or closed up early on fewer.  The
+    scan runs on an explicit stack, one entry per cell, so its depth
     (degree times rank) is not bounded by the interpreter's recursion
     limit; a cell's label is its own table entry.  One site at the top of
     the loop picks, sets and undoes every label: a cell's first label and
-    its next one after a failed relator check, a complete table, an early
-    close-up or a backtrack all pass through it.
+    its next one after a failed relator check, a complete table or a
+    backtrack all pass through it.  Each complete table on k points is
+    yielded as ``(k, img)``, the search's own rows: ``img[g][x]`` is the
+    image of point x < k under generator g.  Read it before resuming.
     """
     # Pointwise tracing applies letters one at a time, so walk them reversed
     # to realize the left action (rightmost letter acts first).
     paths = [tuple(reversed(rel)) for rel in rels]
-    by_gen: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in range(r)]
+    by_gen: list[list[Relator]] = [[] for _ in range(r)]
     for path in paths:
         for gi in {i for i, _ in path}:
             by_gen[gi].append(path)
@@ -434,31 +371,6 @@ def _count_by_search(r: int, rels: Sequence[tuple[tuple[int, int], ...]],
                         return False
         return True
 
-    def automorphisms() -> int:
-        # Seeds whose scan-order relabelling reproduces the table verbatim
-        # are exactly the automorphisms of the action (they act freely).
-        # The new label of order[k] is k, so the relabelled cell (k, gi)
-        # is m[img[gi][order[k]]]; seed 0 reproduces the table.
-        count = 1
-        for seed in range(1, d):
-            m = [-1] * d
-            m[seed] = 0
-            order = [seed]
-            for k, x in enumerate(order):
-                for row in img:
-                    y = row[x]
-                    if m[y] < 0:
-                        m[y] = len(order)
-                        order.append(y)
-                    if m[y] != row[k]:
-                        break
-                else:
-                    continue
-                break
-            else:
-                count += 1
-        return count
-
     cells = d * r
     # Per cell: its point, the row and inverse row of its generator, the
     # relators through that generator, and the point of the next cell.
@@ -466,8 +378,6 @@ def _count_by_search(r: int, rels: Sequence[tuple[tuple[int, int], ...]],
              (cell + 1) // r) for cell in range(cells)]
     known = [1] * cells  # points discovered when the cell was reached; set on descent
     limit = [min(n + 1, d) for n in range(d + 1)]  # labels open to n points
-    aut_total = 0
-    last = cells - 1
     cell = 0
     while cell >= 0:
         # The one site that picks, sets and undoes labels.
@@ -485,12 +395,95 @@ def _count_by_search(r: int, rels: Sequence[tuple[tuple[int, int], ...]],
         found = n + 1 if q == n else n
         if rels and not relators_ok(rels, found):
             continue
-        if cell == last:
-            aut_total += automorphisms()
-        elif next_point < found:
+        if next_point < found:
             cell += 1
             known[cell] = found
-        # else the scan closed up early: a proper sub-action
-    if aut_total % d:
-        raise RuntimeError("automorphism bookkeeping is inconsistent")
-    return aut_total // d
+        else:
+            yield found, img
+
+
+def _fox_rows(img: Sequence[Sequence[int]], rels: Sequence[Relator],
+              d: int) -> list[list[int]]:
+    """The equations c(w) = Σ_g (∂w/∂g)·c(g) = 0 (Fox calculus) of the
+    crossed homs c into the permutation module of the table ``img`` on d
+    points: per relator w and point y, a row over the unknowns c(g)_x in
+    column g·d + x.  A letter g adds its prefix's action times c(g), and
+    g^-1 subtracts that of the prefix through itself."""
+    rows = []
+    for rel in rels:
+        eq = [[0] * (len(img) * d) for _ in range(d)]
+        prefix = list(range(d))  # the action of the letters read so far
+        for g, s in rel:
+            row, col = img[g], g * d
+            if s > 0:
+                for x in range(d):
+                    eq[prefix[x]][col + x] += 1
+                prefix = [prefix[row[x]] for x in range(d)]
+            else:
+                after = [0] * d
+                for x in range(d):
+                    eq[prefix[x]][col + row[x]] -= 1
+                    after[row[x]] = prefix[x]
+                prefix = after
+        rows += eq
+    return rows
+
+
+def count_transitive_actions(p: Presentation, degree: int) -> int:
+    """Transitive actions of ``p`` on {0..degree-1} up to conjugation.
+
+    Equivalently: isomorphism classes of connected degree-``degree`` covers
+    of the classifying object.  The relators are cyclically reduced
+    (``_reduced_relators``) and split into blocks (``_blocks``), so the
+    group G is the free product of the blocks' groups, Z for a free
+    generator.  Mednykh's count (1982) is
+    c_n = (1/n) Σ_{l | n} Σ_{[G:K] = l} |Epi(K, Z/(n/l))|, where
+    |Epi(K, Z/k)| = |Hom(K, Z/k)| - Σ_{j | k, j < k} |Epi(K, Z/j)|.
+    By Shapiro's lemma j^(l-1)·|Hom(K, Z/j)| counts the crossed homs of G
+    into the permutation module (Z/j)^l of G/K.  They add over the orbits
+    of an action and multiply over free factors, so the exponential
+    formula over each block's pointed tables (``_pointed_tables``), each
+    weighted by its crossed homs, j^(N-k)·Π gcd(s_i, j) from a diagonal
+    form s_1..s_k of its N-unknown Fox equations (``_fox_rows``), gives
+    the sums H_q over all homs of G into S_q, and Hall's recursion
+    (``_subgroup_counts``) turns H_1..H_(n/j) into
+    j^(l-1)·Σ_{[G:K] = l} |Hom(K, Z/j)|.  Equal blocks are counted once.
+    """
+    _check_degree(degree)
+    n = degree
+    divisors = [j for j in range(1, n + 1) if n % j == 0]
+    homs_into = {j: [1] * (n // j) for j in divisors}  # j -> H_1..H_(n/j) of G
+    wide = [[j for j in divisors[1:] if d * j <= n] for d in range(n + 1)]  # j >= 2 per degree
+    for (r, rels), times in Counter(_blocks(len(p.generators), _reduced_relators(p))).items():
+        crossed = {j: [0] * (n // j) for j in divisors}  # j -> per degree, over the tables
+        for d, img in _pointed_tables(r, rels, n):
+            crossed[1][d - 1] += 1
+            if wide[d]:
+                diagonal = _diagonal_form(_fox_rows(img, rels, d))
+                for j in wide[d]:
+                    crossed[j][d - 1] += (j ** (r * d - len(diagonal))
+                                          * prod(gcd(s, j) for s in diagonal))
+        for j, sums in crossed.items():
+            h = [1]  # the block's H_0, H_1, ...
+            for q in range(1, len(sums) + 1):
+                h.append(sum(factorial(q - 1) // factorial(q - d) * sums[d - 1] * h[q - d]
+                             for d in range(1, q + 1)))
+            homs_into[j] = [x * y ** times for x, y in zip(homs_into[j], h[1:])]
+    hom_sums = {}  # hom_sums[j][l-1] = sum over index-l K of |Hom(K, Z/j)|
+    for j, h in homs_into.items():
+        scaled = [divmod(a, j ** l) for l, a in enumerate(_subgroup_counts(h))]
+        if any(rem for _, rem in scaled):
+            raise RuntimeError("a weighted subgroup count is not a multiple of j^(l-1)")
+        hom_sums[j] = [x for x, _ in scaled]
+    total = 0
+    for l in range(1, n + 1):
+        if n % l:
+            continue
+        epi: dict[int, int] = {}  # epi[j] = sum over K of |Epi(K, Z/j)|
+        for j in range(1, n // l + 1):
+            if n // l % j == 0:
+                epi[j] = hom_sums[j][l - 1] - sum(e for i, e in epi.items() if j % i == 0)
+        total += epi[n // l]
+    if total % n:
+        raise RuntimeError("Mednykh's class count is not an integer")
+    return total // n

@@ -161,6 +161,18 @@ def _row_echelon(rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
+def _diagonal_form(rows: list[list[int]]) -> list[int]:
+    """The nonzero entries s_1..s_k of a diagonal form U·rows·V, U and V
+    unimodular, so that rows·v = 0 has j^(N-k)·Π gcd(s_i, j) solutions
+    mod j in N unknowns.  Echelon forms of the rows and of the columns in
+    turn, until each row has one nonzero entry; an echelon form alone is
+    not enough ([[2, 1], [0, 4]] is diagonally (1, 8))."""
+    rows = _row_echelon(rows)
+    while any(sum(map(bool, row)) > 1 for row in rows):
+        rows = _row_echelon([list(col) for col in zip(*rows)])
+    return [next(filter(None, row)) for row in rows]
+
+
 def _in_row_lattice(v: list[int], basis: list[list[int]]) -> bool:
     """True iff ``v`` is an integer combination of the echelon ``basis``:
     each pivot fixes its row's coefficient, and nothing may be left."""

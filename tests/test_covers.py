@@ -806,9 +806,12 @@ def test_census_of_disconnected_configuration_raises():
     with pytest.raises(DisconnectedError,
                        match="^tuple census requires a connected configuration$"):
         enumerate_tuples(cfg, 2)
+    # the degree is checked first, before the configuration is indexed
+    with pytest.raises(ValueError, match="^max_degree must be at least 1$"):
+        equivalence_report(cfg, assemble_direct(nodal_cubic()), 0)
     with pytest.raises(DisconnectedError,
                        match="^tuple census requires a connected configuration$"):
-        equivalence_report(cfg, assemble_direct(nodal_cubic()), 0)
+        equivalence_report(cfg, assemble_direct(nodal_cubic()), 2)
 
 
 def test_equivalence_report_detects_wrong_presentation():

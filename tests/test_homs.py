@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import fields
 from math import factorial
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,11 +16,11 @@ from hypothesis import assume, given, settings, strategies as st
 from devissage import (GenId, Hom, Presentation, Word, assemble_direct,
                        assemble_recursive, count_transitive_actions, cyclic, cyclic_presentation,
                        enumerate_homs, enumerate_tuples, eval_word, fingerprint,
-                       free_presentation, free_product, gen, hom, hom_count, homs,
+                       free_presentation, free_product, gen, hom, hom_count,
                        parse_config, pullback, symmetric, verify_hom, word)
 from devissage.corpus import bouquet, full_corpus
-from devissage.homs import (_count_by_search, _free_product_transitive_count,
-                            _indexed_relators, _reduced_relators, _subgroup_counts)
+from devissage.homs import (_blocks, _indexed_relators, _pointed_tables, _reduced_relators,
+                            _subgroup_counts)
 from devissage.presentations import trivial_presentation
 
 Z2 = cyclic_presentation("a", 2)
@@ -237,10 +236,9 @@ def test_z2_star_z_counts(d, expected):
 
 
 def test_trivial_presentation_counts():
-    # the free product with no factor: the formula, not a search
-    with mock.patch.object(homs, "_count_by_search", side_effect=AssertionError("searched")):
-        assert [count_transitive_actions(trivial_presentation(), n) for n in range(1, 8)] == \
-            [1, 0, 0, 0, 0, 0, 0]
+    # the free product with no factor: no block, so no table to search
+    assert [count_transitive_actions(trivial_presentation(), n) for n in range(1, 8)] == \
+        [1, 0, 0, 0, 0, 0, 0]
 
 
 def test_degree_must_be_positive():
@@ -250,31 +248,56 @@ def test_degree_must_be_positive():
 
 def test_counter_of_high_rank_does_not_recurse():
     # the scan's depth is degree x rank, 1099 cells here; the presentation
-    # is free, so the public counter takes the formula and the search is
-    # called directly
+    # is free, so the counter's blocks have rank 1 and the scan of all
+    # 1099 generators at once is called directly
     pres = assemble_direct(bouquet(1100)).presentation
     assert len(pres.generators) == 1099
-    assert _count_by_search(len(pres.generators), _reduced_relators(pres), 1) == 1
+    assert [k for k, _ in _pointed_tables(len(pres.generators), _reduced_relators(pres), 1)] \
+        == [1]
     assert count_transitive_actions(pres, 1) == 1
 
 
-# Degrees at which the search of a free group of rank r takes well under a
-# second; F_3 at degree 6 takes about 13 s and F_4 at degree 5 about 38 s.
+def _free_class_count(r: int, n: int) -> int:
+    """Liskovets's c_n(F_r) (1971), written out apart from the counter:
+    Mednykh's sum over Hall's a_l(F_r) subgroups of index l, each free of
+    rank m = l(r-1)+1, which has k^m - sum_{e | k, e < k} |Epi(F_m, Z/e)|
+    epimorphisms onto Z/k."""
+    a = _subgroup_counts([factorial(k) ** r for k in range(1, n + 1)])
+    total = 0
+    for l in (l for l in range(1, n + 1) if n % l == 0):
+        epi: dict[int, int] = {}
+        for k in (k for k in range(1, n // l + 1) if n // l % k == 0):
+            epi[k] = k ** (l * (r - 1) + 1) - sum(e for i, e in epi.items() if k % i == 0)
+        total += a[l - 1] * epi[n // l]
+    assert total % n == 0
+    return total // n
+
+
+def _tables(r: int, rels, n: int) -> list:
+    """The pointed tables on at most n points, each copied as it comes."""
+    return [(k, [row[:k] for row in img]) for k, img in _pointed_tables(r, rels, n)]
+
+
+# Degrees at which the table search of a free group of rank r takes well
+# under a second; F_3 at degree 6 and F_4 at degree 5 take many seconds.
 FREE_SEARCH_TOP = {1: 6, 2: 6, 3: 5, 4: 4}
 
 
 @pytest.mark.parametrize("r,n", [(r, n) for r, top in FREE_SEARCH_TOP.items()
                                  for n in range(1, top + 1)])
 def test_free_formula_equals_the_search(r, n):
-    search = _count_by_search(r, [], n)
-    assert _free_product_transitive_count([], r, n) == search
-    assert count_transitive_actions(free_presentation("f", r), n) == search
+    # the search over all r generators at once finds Hall's a_k(F_r)
+    # pointed tables on k points, and the counter gives Liskovets's count
+    sizes = [k for k, _ in _pointed_tables(r, [], n)]
+    assert [sizes.count(k) for k in range(1, n + 1)] == \
+        _subgroup_counts([factorial(k) ** r for k in range(1, n + 1)])
+    assert count_transitive_actions(free_presentation("f", r), n) == _free_class_count(r, n)
 
 
 def test_free_formula_beyond_the_search():
     # Hall's a_7(F_3) and Liskovets's c_7(F_3), which no search here reaches
     assert _subgroup_counts([factorial(k) ** 3 for k in range(1, 8)])[-1] == 173_773_153
-    assert _free_product_transitive_count([], 3, 7) == 24_824_785
+    assert _free_class_count(3, 7) == 24_824_785
     assert count_transitive_actions(free_presentation("f", 3), 7) == 24_824_785
     assert count_transitive_actions(free_presentation("f", 2), 7) == 4_163
 
@@ -287,19 +310,19 @@ def test_free_product_formula_on_z2_star_z3_equals_the_search():
     # the modular group <a, b | a^2, b^3>
     a, b = GenId("m", 0), GenId("m", 1)
     p = Presentation((a, b), (_power(a, 2), _power(b, 3)))
+    from reference import naive_transitive_classes
     counts = [count_transitive_actions(p, n) for n in range(1, 8)]
     assert counts == [1, 1, 2, 2, 1, 8, 6]
-    assert counts == [_count_by_search(2, _indexed_relators(p), n) for n in range(1, 8)]
-    assert counts == [_free_product_transitive_count([2, 3], 0, n) for n in range(1, 8)]
+    assert counts[:5] == [naive_transitive_classes(2, _indexed_relators(p), n)
+                          for n in range(1, 6)]
 
 
 def test_census_equals_the_free_product_formula_on_z2_double_bouquet_at_degree_six():
-    # <a, x, y | a^2>: the one corpus config with a cyclic factor and a
-    # costly search (about 2 s at degree 6), now counted by formula
+    # <a, x, y | a^2>: a search of all three generators at once took about
+    # 2 s at degree 6; the counter searches each block alone
     cfg = full_corpus()["z2_double_bouquet"]
     pres = assemble_direct(cfg).presentation
-    with mock.patch.object(homs, "_count_by_search", side_effect=AssertionError("searched")):
-        assert count_transitive_actions(pres, 6) == 51_616
+    assert count_transitive_actions(pres, 6) == 51_616
     assert len(enumerate_tuples(cfg, 6)) == 51_616
 
 
@@ -322,32 +345,40 @@ def test_free_product_formula_equals_the_search(factors, free):
         power = c * _power(gens[i], sign * m) * c.inverse()
         rels += [power] * (1 + twice) + [_power(gens[i], m2)]
     p = Presentation(gens, tuple(rels))
-    search = _count_by_search
-    with mock.patch.object(homs, "_count_by_search", side_effect=AssertionError("searched")):
-        for d in range(1, 5):
-            assert count_transitive_actions(p, d) == \
-                search(len(gens), _indexed_relators(p), d), d
+    from reference import naive_transitive_classes
+    for d in range(1, 5 if len(gens) <= 3 else 4):
+        assert count_transitive_actions(p, d) == \
+            naive_transitive_classes(len(gens), _indexed_relators(p), d), d
 
 
 @pytest.mark.parametrize("name", ["s3_nodal", "equivariant_z2", "squared_interface"])
 def test_presentations_with_other_relators_still_search(name):
-    pres = assemble_direct(full_corpus()[name]).presentation
-    with mock.patch.object(homs, "_free_product_transitive_count",
-                           side_effect=AssertionError("formula")):
-        assert [count_transitive_actions(pres, d) for d in range(1, 4)] == \
-            [_count_by_search(len(pres.generators), _reduced_relators(pres), d)
-             for d in range(1, 4)]
+    # some relator left uses two generators, so a block of rank two or
+    # more is searched; the census counts apart from it
+    cfg = full_corpus()[name]
+    pres = assemble_direct(cfg).presentation
+    assert max(r for r, _ in _blocks(len(pres.generators), _reduced_relators(pres))) >= 2
+    assert [count_transitive_actions(pres, d) for d in range(1, 5)] == \
+        [len(enumerate_tuples(cfg, d)) for d in range(1, 5)]
+
+
+def _config_file(name: str):
+    return parse_config(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
 
 
 def test_census_equals_the_search_on_s3_nodal_at_degree_six():
     # S3 * Z: some of its reduced relators use both S3 generators, so the
-    # counter searches, here one degree above the corpus tests
-    cfg = parse_config(str(Path(__file__).resolve().parent.parent / "configs" / "s3_nodal.json"))
+    # counter searches an S3 block, here one degree above the corpus tests
+    cfg = _config_file("s3_nodal")
     pres = assemble_direct(cfg).presentation
-    with mock.patch.object(homs, "_free_product_transitive_count",
-                           side_effect=AssertionError("formula")):
-        assert count_transitive_actions(pres, 6) == 899
+    assert count_transitive_actions(pres, 6) == 899
     assert len(enumerate_tuples(cfg, 6)) == 899
+
+
+@pytest.mark.parametrize("name,count", [("s3_nodal", 4_361), ("s4_nodal", 16_073)])
+def test_counter_on_the_nodal_configs_at_degree_seven(name, count):
+    # a whole-presentation search confirmed both, in 1.3 s and 21.7 s
+    assert count_transitive_actions(assemble_direct(_config_file(name)).presentation, 7) == count
 
 
 def test_census_equals_the_free_formula_at_degree_seven():
@@ -402,8 +433,8 @@ def test_reduced_relators_keep_the_search_count(specs):
     p = Presentation(gens, tuple(rels))
     raw, reduced = _indexed_relators(p), _reduced_relators(p)
     assert len(reduced) <= len(raw) and sum(map(len, reduced)) <= sum(map(len, raw))
-    for d in range(1, 5):
-        assert _count_by_search(2, reduced, d) == _count_by_search(2, raw, d), d
+    # the relators only prune, so the same tables come in the same order
+    assert _tables(2, reduced, 4) == _tables(2, raw, 4)
 
 
 @settings(deadline=None, max_examples=40)
@@ -412,9 +443,41 @@ def test_search_matches_naive_reference_on_random_relators(rels):
     # relators over both generators, against the brute force over all
     # image pairs and all relabellings
     from reference import naive_transitive_classes
+    gens = (GenId("h", 0), GenId("h", 1))
+    p = Presentation(gens, tuple(Word(tuple((gens[i], s) for i, s in rel)) for rel in rels))
     for d in range(1, 5):
-        assert _count_by_search(2, [tuple(rel) for rel in rels], d) == \
-            naive_transitive_classes(2, rels, d), d
+        assert count_transitive_actions(p, d) == naive_transitive_classes(2, rels, d), d
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.tuples(st.integers(1, 2), st.lists(st.lists(LETTERS, min_size=1, max_size=5),
+                                                      max_size=2)), max_size=2),
+       st.integers(0, 2))
+def test_free_product_of_random_blocks_matches_naive_reference(blocks, free):
+    # blocks of one or two generators with random relators, and free
+    # generators, against the brute force at degrees 1..3
+    from reference import naive_transitive_classes
+    rels, r = [], 0
+    for rank, words in blocks:
+        rels += [[(r + i % rank, s) for i, s in w] for w in words]
+        r += rank
+    r += free
+    gens = tuple(GenId("b", i) for i in range(r))
+    p = Presentation(gens, tuple(Word(tuple((gens[i], s) for i, s in rel)) for rel in rels))
+    for d in range(1, 4):
+        assert count_transitive_actions(p, d) == naive_transitive_classes(r, rels, d), d
+
+
+@pytest.mark.parametrize("name", [name for name, cfg in sorted(full_corpus().items())
+                                  if assemble_direct(cfg).presentation.generators])
+def test_pointed_tables_are_halls_subgroup_counts(name):
+    # the tables on k points are the index-k subgroups, which Hall's count
+    # gives from the hom counts into S_1..S_n; the search needs a generator
+    pres = assemble_direct(full_corpus()[name]).presentation
+    n = 4 if len(pres.generators) > 2 else 5
+    sizes = [k for k, _ in _pointed_tables(len(pres.generators), _reduced_relators(pres), n)]
+    assert [sizes.count(k) for k in range(1, n + 1)] == \
+        _subgroup_counts([hom_count(pres, symmetric(k)) for k in range(1, n + 1)])
 
 
 @settings(deadline=None, max_examples=25)
@@ -422,9 +485,9 @@ def test_search_matches_naive_reference_on_random_relators(rels):
 def test_cancelling_relators_take_the_formula(bodies):
     gens = (GenId("h", 0), GenId("h", 1))
     words = [Word(tuple((gens[i], s) for i, s in body)) for body in bodies]
+    # every relator cancels, so the group is free of rank two
     p = Presentation(gens, tuple(w * w.inverse() for w in words))
-    with mock.patch.object(homs, "_count_by_search", side_effect=AssertionError("searched")):
-        assert [count_transitive_actions(p, d) for d in range(1, 6)] == [1, 3, 7, 26, 97]
+    assert [count_transitive_actions(p, d) for d in range(1, 6)] == [1, 3, 7, 26, 97]
 
 
 def _corpus_oracle_cases():

@@ -189,7 +189,7 @@ def test_discreteness_verdict_answers_mutated_verdict_maps(cfg, data):
     answer(lambda: discreteness_verdict(cfg, restrictions))
 
 
-@pytest.mark.parametrize("degree", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("degree", [2.5, 3.0, "3", None, True])
 def test_degree_readers_reject_a_degree_that_is_not_an_integer(degree):
     cfg = s3_nodal()
     res = assemble_direct(cfg)

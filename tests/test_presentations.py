@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import product
+from math import gcd, prod
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from devissage import (GenId, Presentation, Word, add_relations,
                        cyclic_presentation, free_presentation, free_product,
                        gen, hom_count, rename_namespaces, symmetric,
                        trivial_presentation, word)
+from devissage.presentations import _diagonal_form
 
 
 def test_relations_stored_reduced():
@@ -100,3 +105,30 @@ def test_rename_namespaces_roundtrip():
     assert mapping[GenId("a", 0)] == GenId("b", 0)
     back, _ = rename_namespaces(q, {"b": "a"})
     assert back == p
+
+
+def _solutions(rows: list[list[int]], n: int, j: int) -> int:
+    """Solutions of rows·v = 0 mod j in n unknowns, by brute force."""
+    return sum(all(sum(a * x for a, x in zip(row, v)) % j == 0 for row in rows)
+               for v in product(range(j), repeat=n))
+
+
+def _predicted(rows: list[list[int]], n: int, j: int) -> int:
+    diagonal = _diagonal_form(rows)
+    return j ** (n - len(diagonal)) * prod(gcd(s, j) for s in diagonal)
+
+
+def test_diagonal_form_is_more_than_an_echelon_form():
+    # echelon pivots 2 and 4 would predict 4 solutions mod 2; the diagonal
+    # form is (1, 8), and only y = 0 solves 2x + y = 4y = 0 mod 2
+    assert _diagonal_form([[2, 1], [0, 4]]) == [1, 8]
+    assert _predicted([[2, 1], [0, 4]], 2, 2) == _solutions([[2, 1], [0, 4]], 2, 2) == 2
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4))),
+       st.integers(2, 6))
+def test_diagonal_form_counts_the_solutions_mod_j(matrix, j):
+    n, rows = matrix
+    assert _predicted(rows, n, j) == _solutions(rows, n, j)
