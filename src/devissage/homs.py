@@ -476,9 +476,7 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
             raise RuntimeError("a weighted subgroup count is not a multiple of j^(l-1)")
         hom_sums[j] = [x for x, _ in scaled]
     total = 0
-    for l in range(1, n + 1):
-        if n % l:
-            continue
+    for l in divisors:
         epi: dict[int, int] = {}  # epi[j] = sum over K of |Epi(K, Z/j)|
         for j in range(1, n // l + 1):
             if n // l % j == 0:
