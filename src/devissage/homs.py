@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 from .perms import (Perm, PermGroupTarget, compose, identity_perm,
                     inverse_perm, is_perm)
-from .presentations import Presentation, _diagonal_form
+from .presentations import Presentation, _diagonal_form, _fox_rows
 from .words import GenId, Word
 
 __all__ = [
@@ -141,15 +141,15 @@ def pullback(h: Hom, via: Hom) -> Hom:
     return hom(via.source, h.target, images)
 
 
-Relator = tuple[tuple[int, int], ...]
-
-
-def _indexed_relators(p: Presentation) -> list[Relator]:
+def _indexed_relators(p: Presentation) -> list[tuple[tuple[int, int], ...]]:
     """The nonempty relators, each letter's generator replaced by its
     position in ``p.generators``."""
     pos = {g: i for i, g in enumerate(p.generators)}
     return [tuple((pos[g], s) for g, s in w.letters)
             for w in p.relations if w.letters]
+
+
+Relator = tuple[tuple[int, int], ...]
 
 
 def _blocks(r: int, rels: Sequence[Relator]) -> list[tuple[int, tuple[Relator, ...]]]:
@@ -200,7 +200,7 @@ def _iter_image_tuples(r: int, rels: Sequence[Relator],
     chosen: list[Perm] = [ident] * r
     inverses: list[Perm] = [ident] * r
 
-    def ok(rel: Relator) -> bool:
+    def ok(rel: tuple[tuple[int, int], ...]) -> bool:
         out = ident
         for gi, s in reversed(rel):
             out = compose(chosen[gi] if s > 0 else inverses[gi], out)
@@ -265,12 +265,12 @@ def fingerprint(p: Presentation, probes: Sequence[PermGroupTarget]) -> Fingerpri
     return Fingerprint(probes, tuple(hom_count(p, g) for g in probes))
 
 
-def _relator_order(rel: Relator) -> tuple:
+def _relator_order(rel: tuple[tuple[int, int], ...]) -> tuple:
     # Shortest first, then the least generators, positive letters first.
     return len(rel), [(gi, -s) for gi, s in rel]
 
 
-def _reduced_relators(p: Presentation) -> list[Relator]:
+def _reduced_relators(p: Presentation) -> list[tuple[tuple[int, int], ...]]:
     """The counter's relators: each nonempty indexed relator cyclically
     reduced, and one kept per class up to rotation and inversion, all in
     ``_relator_order``.
@@ -402,33 +402,6 @@ def _pointed_tables(r: int, rels: Sequence[Relator],
             yield found, img
 
 
-def _fox_rows(img: Sequence[Sequence[int]], rels: Sequence[Relator],
-              d: int) -> list[list[int]]:
-    """The equations c(w) = Σ_g (∂w/∂g)·c(g) = 0 (Fox calculus) of the
-    crossed homs c into the permutation module of the table ``img`` on d
-    points: per relator w and point y, a row over the unknowns c(g)_x in
-    column g·d + x.  A letter g adds its prefix's action times c(g), and
-    g^-1 subtracts that of the prefix through itself."""
-    rows = []
-    for rel in rels:
-        eq = [[0] * (len(img) * d) for _ in range(d)]
-        prefix = list(range(d))  # the action of the letters read so far
-        for g, s in rel:
-            row, col = img[g], g * d
-            if s > 0:
-                for x in range(d):
-                    eq[prefix[x]][col + x] += 1
-                prefix = [prefix[row[x]] for x in range(d)]
-            else:
-                after = [0] * d
-                for x in range(d):
-                    eq[prefix[x]][col + row[x]] -= 1
-                    after[row[x]] = prefix[x]
-                prefix = after
-        rows += eq
-    return rows
-
-
 def count_transitive_actions(p: Presentation, degree: int) -> int:
     """Transitive actions of ``p`` on {0..degree-1} up to conjugation.
 
@@ -437,17 +410,17 @@ def count_transitive_actions(p: Presentation, degree: int) -> int:
     (``_reduced_relators``) and split into blocks (``_blocks``), so the
     group G is the free product of the blocks' groups, Z for a free
     generator.  Mednykh's count (1982) is
-    c_n = (1/n) Σ_{l | n} Σ_{[G:K] = l} |Epi(K, Z/(n/l))|, where
-    |Epi(K, Z/k)| = |Hom(K, Z/k)| - Σ_{j | k, j < k} |Epi(K, Z/j)|.
+    c_n = (1/n) sum_{l | n} sum_{[G:K] = l} |Epi(K, Z/(n/l))|, where
+    |Epi(K, Z/k)| = |Hom(K, Z/k)| - sum_{j | k, j < k} |Epi(K, Z/j)|.
     By Shapiro's lemma j^(l-1)·|Hom(K, Z/j)| counts the crossed homs of G
     into the permutation module (Z/j)^l of G/K.  They add over the orbits
     of an action and multiply over free factors, so the exponential
     formula over each block's pointed tables (``_pointed_tables``), each
-    weighted by its crossed homs, j^(N-k)·Π gcd(s_i, j) from a diagonal
+    weighted by its crossed homs, j^(N-k)·prod gcd(s_i, j) from a diagonal
     form s_1..s_k of its N-unknown Fox equations (``_fox_rows``), gives
     the sums H_q over all homs of G into S_q, and Hall's recursion
     (``_subgroup_counts``) turns H_1..H_(n/j) into
-    j^(l-1)·Σ_{[G:K] = l} |Hom(K, Z/j)|.  Equal blocks are counted once.
+    j^(l-1)·sum_{[G:K] = l} |Hom(K, Z/j)|.  Equal blocks are counted once.
     """
     _check_degree(degree)
     n = degree

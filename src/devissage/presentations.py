@@ -3,8 +3,9 @@
 A presentation is a finite generator list plus a finite list of relators
 (words asserted equal to the identity).  No word-problem machinery lives
 here: two presentations are compared only through their finite permutation
-actions (see ``homs``), and ``_abelian_failures`` reads words only through
-their exponent sums.
+actions (see ``homs``), ``_abelian_failures`` reads words only through
+their exponent sums, and ``_fox_rows`` reads indexed relators only through
+a permutation table.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _row_echelon(rows: list[list[int]]) -> list[list[int]]:
 
 def _diagonal_form(rows: list[list[int]]) -> list[int]:
     """The nonzero entries s_1..s_k of a diagonal form U·rows·V, U and V
-    unimodular, so that rows·v = 0 has j^(N-k)·Π gcd(s_i, j) solutions
+    unimodular, so that rows·v = 0 has j^(N-k)·prod gcd(s_i, j) solutions
     mod j in N unknowns.  Echelon forms of the rows and of the columns in
     turn, until each row has one nonzero entry; an echelon form alone is
     not enough ([[2, 1], [0, 4]] is diagonally (1, 8))."""
@@ -171,6 +172,33 @@ def _diagonal_form(rows: list[list[int]]) -> list[int]:
     while any(sum(map(bool, row)) > 1 for row in rows):
         rows = _row_echelon([list(col) for col in zip(*rows)])
     return [next(filter(None, row)) for row in rows]
+
+
+def _fox_rows(img: Sequence[Sequence[int]], rels: Sequence[Sequence[tuple[int, int]]],
+              d: int) -> list[list[int]]:
+    """The equations c(w) = sum_g (dw/dg)·c(g) = 0 (Fox calculus) of the
+    crossed homs c into the permutation module of the table ``img`` on d
+    points: per relator w and point y, a row over the unknowns c(g)_x in
+    column g·d + x.  A letter g adds its prefix's action times c(g), and
+    g^-1 subtracts that of the prefix through itself."""
+    rows = []
+    for rel in rels:
+        eq = [[0] * (len(img) * d) for _ in range(d)]
+        prefix = list(range(d))  # the action of the letters read so far
+        for g, s in rel:
+            row, col = img[g], g * d
+            if s > 0:
+                for x in range(d):
+                    eq[prefix[x]][col + x] += 1
+                prefix = [prefix[row[x]] for x in range(d)]
+            else:
+                after = [0] * d
+                for x in range(d):
+                    eq[prefix[x]][col + row[x]] -= 1
+                    after[row[x]] = prefix[x]
+                prefix = after
+        rows += eq
+    return rows
 
 
 def _in_row_lattice(v: list[int], basis: list[list[int]]) -> bool:

@@ -4,12 +4,15 @@ Everything here is deliberately dumb: plain itertools products, no pruning,
 no clever canonical forms (deduplication tries *all* relabelings).  These
 functions are the yardstick the real implementations are measured against at
 small degree, and the source of the frozen constants in the test suite.  Keep
-them independent of the package under test.
+them independent of the package under test.  The two closed forms at the end,
+Hall's subgroup count and the class count of a free product of cyclic groups,
+reach degrees and ranks the brute force cannot.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 Perm = tuple[int, ...]
@@ -334,3 +337,49 @@ def multiplication_table(gens: Sequence[Perm], d: int) -> tuple[int, list[list[L
                 rel.append((index[xy], -1))
             relators.append(rel)
     return len(nontrivial), relators
+
+
+def hall_subgroup_counts(h: Sequence[int]) -> list[int]:
+    """Hall's a_1..a_n, the index-k subgroup counts, from h_k = |Hom(G, S_k)|:
+    the transitive homs into S_n are t_n = h_n - sum_k C(n-1, k-1) t_k h_(n-k),
+    and a_n = t_n / (n-1)!."""
+    t: list[int] = []
+    for n, hn in enumerate(h, 1):
+        t.append(hn - sum(math.comb(n - 1, k - 1) * t[k - 1] * h[n - k - 1]
+                          for k in range(1, n)))
+    return [tk // math.factorial(k) for k, tk in enumerate(t)]
+
+
+def free_product_transitive_count(orders: Sequence[int], r: int, n: int) -> int:
+    """c_n of Z/m_1 * ... * Z/m_k * F_r (``orders`` lists m_1..m_k), the
+    closed form that needs no search, by Mednykh's count (1982):
+    c_n = (1/n) sum_{l | n} sum_{[G:K] = l} |Epi(K, Z/(n/l))|.
+
+    By Kurosh an index-l subgroup K is the free product of Z/(m_i/|c|)
+    over the cycles c of each generator a_i on G/K and of a free group, so
+    j^(l-1)·|Hom(K, Z/j)| is a weight that multiplies over the cycles of
+    an action: j^(lr) times, per cycle c of a_i, gcd(m_i/|c|, j)·j^(|c|-1).
+    Hall's recursion over the weighted hom counts into S_q then gives
+    j^(l-1)·sum_{[G:K] = l} |Hom(K, Z/j)|, and
+    |Epi(K, Z/k)| = |Hom(K, Z/k)| - sum_{j | k, j < k} |Epi(K, Z/j)|.
+    Free groups are the case k = 0 (Liskovets, 1971)."""
+    hom_sums = {}  # j -> per l, the sum over index-l K of |Hom(K, Z/j)|
+    for j in (j for j in range(1, n + 1) if n % j == 0):
+        weights = [[1] for _ in orders]  # per order m: S(0), S(1), ...
+        h = []
+        for q in range(1, n // j + 1):
+            hq = (j ** q * math.factorial(q)) ** r
+            for m, s in zip(orders, weights):
+                s.append(sum(math.factorial(q - 1) // math.factorial(q - c)
+                             * math.gcd(m // c, j) * j ** (c - 1) * s[q - c]
+                             for c in range(1, min(m, q) + 1) if m % c == 0))
+                hq *= s[q]
+            h.append(hq)
+        hom_sums[j] = [a // j ** l for l, a in enumerate(hall_subgroup_counts(h))]
+    total = 0
+    for l in (l for l in range(1, n + 1) if n % l == 0):
+        epi: dict[int, int] = {}
+        for k in (k for k in range(1, n // l + 1) if n // l % k == 0):
+            epi[k] = hom_sums[k][l - 1] - sum(e for i, e in epi.items() if k % i == 0)
+        total += epi[n // l]
+    return total // n

@@ -7,7 +7,7 @@ in tests/reference.py before the search engines were written.
 from __future__ import annotations
 
 from dataclasses import fields
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -257,22 +257,6 @@ def test_counter_of_high_rank_does_not_recurse():
     assert count_transitive_actions(pres, 1) == 1
 
 
-def _free_class_count(r: int, n: int) -> int:
-    """Liskovets's c_n(F_r) (1971), written out apart from the counter:
-    Mednykh's sum over Hall's a_l(F_r) subgroups of index l, each free of
-    rank m = l(r-1)+1, which has k^m - sum_{e | k, e < k} |Epi(F_m, Z/e)|
-    epimorphisms onto Z/k."""
-    a = _subgroup_counts([factorial(k) ** r for k in range(1, n + 1)])
-    total = 0
-    for l in (l for l in range(1, n + 1) if n % l == 0):
-        epi: dict[int, int] = {}
-        for k in (k for k in range(1, n // l + 1) if n // l % k == 0):
-            epi[k] = k ** (l * (r - 1) + 1) - sum(e for i, e in epi.items() if k % i == 0)
-        total += a[l - 1] * epi[n // l]
-    assert total % n == 0
-    return total // n
-
-
 def _tables(r: int, rels, n: int) -> list:
     """The pointed tables on at most n points, each copied as it comes."""
     return [(k, [row[:k] for row in img]) for k, img in _pointed_tables(r, rels, n)]
@@ -288,16 +272,19 @@ FREE_SEARCH_TOP = {1: 6, 2: 6, 3: 5, 4: 4}
 def test_free_formula_equals_the_search(r, n):
     # the search over all r generators at once finds Hall's a_k(F_r)
     # pointed tables on k points, and the counter gives Liskovets's count
+    from reference import free_product_transitive_count
     sizes = [k for k, _ in _pointed_tables(r, [], n)]
     assert [sizes.count(k) for k in range(1, n + 1)] == \
         _subgroup_counts([factorial(k) ** r for k in range(1, n + 1)])
-    assert count_transitive_actions(free_presentation("f", r), n) == _free_class_count(r, n)
+    assert count_transitive_actions(free_presentation("f", r), n) == \
+        free_product_transitive_count([], r, n)
 
 
 def test_free_formula_beyond_the_search():
     # Hall's a_7(F_3) and Liskovets's c_7(F_3), which no search here reaches
+    from reference import free_product_transitive_count
     assert _subgroup_counts([factorial(k) ** 3 for k in range(1, 8)])[-1] == 173_773_153
-    assert _free_class_count(3, 7) == 24_824_785
+    assert free_product_transitive_count([], 3, 7) == 24_824_785
     assert count_transitive_actions(free_presentation("f", 3), 7) == 24_824_785
     assert count_transitive_actions(free_presentation("f", 2), 7) == 4_163
 
@@ -310,9 +297,10 @@ def test_free_product_formula_on_z2_star_z3_equals_the_search():
     # the modular group <a, b | a^2, b^3>
     a, b = GenId("m", 0), GenId("m", 1)
     p = Presentation((a, b), (_power(a, 2), _power(b, 3)))
-    from reference import naive_transitive_classes
+    from reference import free_product_transitive_count, naive_transitive_classes
     counts = [count_transitive_actions(p, n) for n in range(1, 8)]
     assert counts == [1, 1, 2, 2, 1, 8, 6]
+    assert counts == [free_product_transitive_count([2, 3], 0, n) for n in range(1, 8)]
     assert counts[:5] == [naive_transitive_classes(2, _indexed_relators(p), n)
                           for n in range(1, 6)]
 
@@ -345,10 +333,15 @@ def test_free_product_formula_equals_the_search(factors, free):
         power = c * _power(gens[i], sign * m) * c.inverse()
         rels += [power] * (1 + twice) + [_power(gens[i], m2)]
     p = Presentation(gens, tuple(rels))
-    from reference import naive_transitive_classes
-    for d in range(1, 5 if len(gens) <= 3 else 4):
-        assert count_transitive_actions(p, d) == \
-            naive_transitive_classes(len(gens), _indexed_relators(p), d), d
+    from reference import free_product_transitive_count, naive_transitive_classes
+    # Z/gcd(m, m2) per factor; the brute force takes seconds at rank 4 and
+    # degree 4, where the closed form checks alone
+    orders = [gcd(m, m2) for m, _, _, _, m2 in factors]
+    for d in range(1, 5):
+        count = count_transitive_actions(p, d)
+        assert count == free_product_transitive_count(orders, free, d), d
+        if len(gens) <= 3 or d <= 3:
+            assert count == naive_transitive_classes(len(gens), _indexed_relators(p), d), d
 
 
 @pytest.mark.parametrize("name", ["s3_nodal", "equivariant_z2", "squared_interface"])
@@ -362,14 +355,10 @@ def test_presentations_with_other_relators_still_search(name):
         [len(enumerate_tuples(cfg, d)) for d in range(1, 5)]
 
 
-def _config_file(name: str):
-    return parse_config(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
-
-
 def test_census_equals_the_search_on_s3_nodal_at_degree_six():
     # S3 * Z: some of its reduced relators use both S3 generators, so the
     # counter searches an S3 block, here one degree above the corpus tests
-    cfg = _config_file("s3_nodal")
+    cfg = parse_config(str(Path(__file__).resolve().parent.parent / "configs" / "s3_nodal.json"))
     pres = assemble_direct(cfg).presentation
     assert count_transitive_actions(pres, 6) == 899
     assert len(enumerate_tuples(cfg, 6)) == 899
@@ -378,7 +367,8 @@ def test_census_equals_the_search_on_s3_nodal_at_degree_six():
 @pytest.mark.parametrize("name,count", [("s3_nodal", 4_361), ("s4_nodal", 16_073)])
 def test_counter_on_the_nodal_configs_at_degree_seven(name, count):
     # a whole-presentation search confirmed both, in 1.3 s and 21.7 s
-    assert count_transitive_actions(assemble_direct(_config_file(name)).presentation, 7) == count
+    cfg = parse_config(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
+    assert count_transitive_actions(assemble_direct(cfg).presentation, 7) == count
 
 
 def test_census_equals_the_free_formula_at_degree_seven():
